@@ -5,7 +5,9 @@ descent s of w; if s is also a left descent of u compare (su, sw), else
 compare (u, sw).  Lower intervals use the subword characterisation -- the
 interval below w is exactly the set of elements of subwords of one reduced
 word of w -- computed as a left-to-right closure so equal subwords are
-merged early.  Both are memoised per system.
+merged early.  Both are memoised per system.  Covers come from one reduced
+word alone (its one-letter deletions that stay reduced), so the interval cap
+does not limit them.
 """
 
 from __future__ import annotations
@@ -93,10 +95,11 @@ def lower_interval(w: Element, *, cap: int | None = None) -> Interval:
 
 
 def covers(w: Element) -> frozenset[Element]:
-    """Elements covered by w: all u <= w with length(u) = length(w) - 1."""
-    if w.length == 0:
-        return frozenset()
-    return lower_interval(w).at_length(w.length - 1)
+    """Elements u <= w of length length(w) - 1: by the subword property and
+    strong exchange, the one-letter deletions of w's word that stay reduced."""
+    sys, word = w.system, w.word
+    deletions = (sys.normalize(word[:i] + word[i + 1:]) for i in range(len(word)))
+    return frozenset(u for u in deletions if u.length == len(word) - 1)
 
 
 def poincare(w: Element) -> IntPolynomial:

@@ -8,6 +8,7 @@ indent; parsing and re-serialising it is the identity.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import random
@@ -22,7 +23,7 @@ from .coset_max import (
     max_in_relative_coset,
     shifted_max_set,
 )
-from .dot import hasse_dot
+from .dot import coset_colors, hasse_dot
 from .errors import CoxeterError
 from .parabolic import coset_rep, decompose, min_reps_leq
 from .poincare import (
@@ -340,14 +341,8 @@ def _cmd_hasse(system, args, fmt):
     J = _genset(system, args.J, "--J") if args.J is not None else None
     if fmt == "dot":
         return hasse_dot(w, J)
-    itv = lower_interval(w)
-    members = itv.sorted_members()
-    colors = {}
-    if J is not None:
-        reps = sorted({coset_rep(y, J) for y in members})
-        from .dot import COLORS
-        rep_color = {x: COLORS[i % len(COLORS)] for i, x in enumerate(reps)}
-        colors = {y: rep_color[coset_rep(y, J)] for y in members}
+    members = lower_interval(w).sorted_members()
+    colors = coset_colors(members, J)
     edges = [(str(c), str(y)) for y in members for c in sorted(covers(y))]
     if fmt == "json":
         return _json_out({"command": "hasse", "w": str(w),
@@ -451,12 +446,14 @@ _HANDLERS = {
 }
 
 
-def _add_w(p, required=True):
+def _add_w(p):
     p.add_argument("--w", help="word, e.g. 's1 s2 s1' ('e' for the identity)")
     p.add_argument("--perm", help="type A only: one-line permutation, e.g. 4231")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="coxbruhat",
         description="Bruhat intervals, parabolic cosets, and coset maxima in Coxeter groups.",

@@ -86,12 +86,10 @@ def max_in_parabolic(w: Element, J: Iterable[int]) -> Element:
 
 
 def _stabilizers(x: Element, J: GenSet) -> GenSet:
+    """Generators t with t x W_J = x W_J: by Deodhar's lemma, those with t x not in W^J."""
     sys = x.system
-    out = []
-    for t in sorted(J | x.support):
-        if coset_rep(sys._lmul_gen(t, x), J) == x:
-            out.append(t)
-    return frozenset(out)
+    return frozenset(t for t in sorted(J | x.support)
+                     if sys._lmul_gen(t, x).right_descents & J)
 
 
 def _validate(w: Element, x: Element, J: Iterable[int]) -> GenSet:

@@ -12,21 +12,21 @@ from .parabolic import coset_rep
 COLORS = ("black", "red", "blue", "green")
 
 
-def hasse_dot(w: Element, J: Iterable[int] | None = None) -> str:
-    """DOT text for the Hasse diagram of [e, w].
+def coset_colors(members: Iterable[Element], J: Iterable[int] | None) -> dict[Element, str]:
+    """Colour of each member by its coset x W_J ({} when J is None)."""
+    if J is None:
+        return {}
+    J = frozenset(J)
+    rep = {y: coset_rep(y, J) for y in members}
+    rep_color = {x: COLORS[i % len(COLORS)] for i, x in enumerate(sorted(set(rep.values())))}
+    return {y: rep_color[x] for y, x in rep.items()}
 
-    With J given, nodes are coloured by their coset x W_J, the colour cycle
-    following the ShortLex order of the minimal representatives x.
-    """
-    sys = w.system
+
+def hasse_dot(w: Element, J: Iterable[int] | None = None) -> str:
+    """DOT text for the Hasse diagram of [e, w], coloured by coset when J is given."""
     itv = lower_interval(w)
     members = itv.sorted_members()
-    color: dict[Element, str] = {}
-    if J is not None:
-        J = sys.check_genset(J)
-        reps = sorted({coset_rep(y, J) for y in members})
-        rep_color = {x: COLORS[i % len(COLORS)] for i, x in enumerate(reps)}
-        color = {y: rep_color[coset_rep(y, J)] for y in members}
+    color = coset_colors(members, J)
     lines = ["graph bruhat_interval {", "  rankdir=BT;", "  node [shape=plaintext];"]
     for y in members:
         attr = f' [fontcolor={color[y]}]' if color else ""
