@@ -23,7 +23,6 @@ from .coset_max import (
     CosetMaxResult,
     ShiftedMaxSet,
     TraceStep,
-    coset_max_candidates,
     coset_shift,
     max_in_coset,
     max_in_parabolic,
@@ -44,6 +43,7 @@ from .errors import (
     NotUnique,
     SearchBudgetExceeded,
 )
+from .oracle import coset_max_candidates
 from .parabolic import (
     ParabolicDecomposition,
     coset_rep,

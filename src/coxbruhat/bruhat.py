@@ -13,6 +13,7 @@ does not limit them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .core import Element
 from .errors import IntervalTooLarge
@@ -21,17 +22,21 @@ from .polynomial import IntPolynomial
 
 @dataclass(frozen=True)
 class Interval:
-    """The lower Bruhat interval [e, top]."""
+    """The lower Bruhat interval [e, top]; ``ranks`` is its one ordered store."""
 
     top: Element
     members: frozenset[Element]
-    rank_sizes: tuple[int, ...]  # rank_sizes[k] = number of members of length k
+    ranks: tuple[tuple[Element, ...], ...]  # ranks[k] = members of length k, ShortLex sorted
+
+    @property
+    def rank_sizes(self) -> tuple[int, ...]:  # rank_sizes[k] = number of members of length k
+        return tuple(map(len, self.ranks))
 
     def sorted_members(self) -> list[Element]:
-        return sorted(self.members)
+        return list(self)
 
     def at_length(self, k: int) -> frozenset[Element]:
-        return frozenset(w for w in self.members if w.length == k)
+        return frozenset(self.ranks[k]) if 0 <= k < len(self.ranks) else frozenset()
 
     def __len__(self) -> int:
         return len(self.members)
@@ -40,7 +45,7 @@ class Interval:
         return w in self.members
 
     def __iter__(self):
-        return iter(self.sorted_members())
+        return (y for row in self.ranks for y in row)
 
 
 def leq(u: Element, w: Element) -> bool:
@@ -69,7 +74,7 @@ def leq(u: Element, w: Element) -> bool:
 
 
 def lower_interval(w: Element, *, cap: int | None = None) -> Interval:
-    """All elements u <= w, with rank sizes.
+    """All elements u <= w, grouped by length and ShortLex sorted once here.
 
     Enumerates the subwords of the canonical word of w (as a closure over
     prefixes, deduplicating as it goes).  Raises IntervalTooLarge when
@@ -86,10 +91,11 @@ def lower_interval(w: Element, *, cap: int | None = None) -> Interval:
     members = {sys.identity}
     for s in w.word:
         members |= {sys._mul_gen(u, s) for u in members}
-    sizes = [0] * (w.length + 1)
+    rows: list[list[Element]] = [[] for _ in range(w.length + 1)]
     for u in members:
-        sizes[u.length] += 1
-    itv = Interval(top=w, members=frozenset(members), rank_sizes=tuple(sizes))
+        rows[len(u.word)].append(u)
+    ranks = tuple(tuple(sorted(row, key=attrgetter("word"))) for row in rows)  # ShortLex
+    itv = Interval(top=w, members=frozenset(members), ranks=ranks)
     sys._interval_cache[w.word] = itv
     return itv
 

@@ -17,13 +17,8 @@ import sys as _sys
 from . import oracle
 from .bruhat import covers, leq, lower_interval, poincare
 from .core import CoxeterSystem, Element, element_from_permutation
-from .coset_max import (
-    coset_max_candidates,
-    max_in_coset,
-    max_in_relative_coset,
-    shifted_max_set,
-)
-from .dot import coset_colors, hasse_dot
+from .coset_max import max_in_coset, max_in_relative_coset, shifted_max_set
+from .dot import hasse_dot, hasse_graph
 from .errors import CoxeterError
 from .parabolic import coset_rep, decompose, min_reps_leq
 from .poincare import (
@@ -341,18 +336,19 @@ def _cmd_hasse(system, args, fmt):
     J = _genset(system, args.J, "--J") if args.J is not None else None
     if fmt == "dot":
         return hasse_dot(w, J)
-    members = lower_interval(w).sorted_members()
-    colors = coset_colors(members, J)
-    edges = [(str(c), str(y)) for y in members for c in sorted(covers(y))]
+    g = hasse_graph(w, J)
     if fmt == "json":
         return _json_out({"command": "hasse", "w": str(w),
                           "J": system.genset_str(J) if J is not None else None,
-                          "nodes": [{"w": str(y), "color": colors.get(y)} for y in members],
-                          "edges": [[a, b] for a, b in edges]})
-    return "\n".join(f"{a} -- {b}" for a, b in edges)
+                          "nodes": [{"w": str(y), "color": g.colors.get(y)} for y in g.interval],
+                          "edges": [[str(c), str(y)] for c, y in g.edges]})
+    return "\n".join(f"{c} -- {y}" for c, y in g.edges)
 
 
 def _cmd_verify(system, args, fmt):
+    for flag, value in (("--max-len", args.max_len), ("--samples", args.samples)):
+        if value < 0:
+            raise _Usage(f"{flag}: must be nonnegative, got {value}")
     rng = random.Random(args.seed)
     max_len = min(args.max_len, system.length_cap)
     failures: list[str] = []
@@ -396,7 +392,7 @@ def _cmd_verify(system, args, fmt):
                 res = max_in_coset(w, x, J)
                 if oracle.brute_coset_max(w, x, J) != res.maximum:
                     bad += 1
-                if coset_max_candidates(w, x, J) != frozenset((res.maximum,)):
+                if oracle.coset_max_candidates(w, x, J) != frozenset((res.maximum,)):
                     bad += 1
     _report(lines, failures, "coset-maxima", bad, f"{triples} triples")
 

@@ -16,10 +16,14 @@ infinite bond), and ``s`` is a right descent of ``w`` exactly when ``w``
 maps the simple root of ``s`` to a negative root.  Negativity is read off
 coordinate signs against a fixed tolerance (``SIGN_TOL``).  Every element's
 matrices are rebuilt from its canonical word, so each entry is at most
-``length_cap`` generator products away from the identity and the accumulated
-floating-point error stays orders of magnitude below the tolerance at that
-scale.  Canonical words are produced greedily by peeling off the smallest
-left descent.
+``length_cap`` generator products away from the identity.  For finite and
+affine groups the accumulated floating-point error stays far below the
+tolerance up to the default cap.  For infinite non-affine groups it does not:
+root coordinates grow exponentially, and random reduced walks in the all-5
+rank-4 matrix, the ``(3, inf, 3)`` triangle group and the rank-3 universal
+group raise ``InternalAssertionFailed`` from lengths of about 15, 19 and 43
+(ROADMAP item 3 replaces the floats with exact arithmetic).  Canonical words
+are produced greedily by peeling off the smallest left descent.
 
 Systems intern their elements: per system each group element exists as one
 immutable Element object, and generator products on either side are
@@ -36,8 +40,10 @@ from typing import Iterable, Sequence
 from .errors import InternalAssertionFailed, InvalidMatrix, LengthCapExceeded
 
 #: Sign tolerance for root-coordinate tests.  Exact nonzero root coordinates
-#: of the supported systems have magnitude well above 1e-3, so this leaves a
-#: wide safety margin over float drift at capped lengths.
+#: of finite and affine systems have magnitude well above 1e-3, so this leaves
+#: a wide safety margin over float drift at capped lengths.  Infinite
+#: non-affine systems exceed it well below the default length cap (see the
+#: module docstring).
 SIGN_TOL = 1e-8
 
 #: A word is a sequence of generator indices; not necessarily reduced.
@@ -148,11 +154,12 @@ class CoxeterSystem:
     Parameters
     ----------
     matrix:
-        Square symmetric Coxeter matrix; diagonal 1, off-diagonal >= 2,
-        with 0 standing for an infinite bond.
+        Square symmetric Coxeter matrix of ``int`` entries (not ``bool``);
+        diagonal 1, off-diagonal >= 2, with 0 standing for an infinite bond.
     names:
         Generator names, default ``s1 .. sn``.  Must be unique, nonempty,
-        and distinct from the identity tokens.
+        distinct from the identity tokens, and readable back by the word
+        and generator-set parsers: no whitespace or ``,``, and not ``-``.
     length_cap:
         Longest element the system will construct (default 64).
     interval_cap:
@@ -168,9 +175,11 @@ class CoxeterSystem:
         length_cap: int = 64,
         interval_cap: int = 24,
     ):
-        rows = []
-        for row in matrix:
-            rows.append(tuple(int(v) for v in row))
+        rows = [tuple(row) for row in matrix]
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                if isinstance(v, bool) or not isinstance(v, int):
+                    raise InvalidMatrix(f"entry m({i},{j}) must be an integer, got {v!r}")
         n = len(rows)
         if n == 0:
             raise InvalidMatrix("Coxeter matrix must have rank at least 1")
@@ -197,6 +206,9 @@ class CoxeterSystem:
             raise InvalidMatrix("generator names must be unique and nonempty")
         if any(x in IDENTITY_TOKENS for x in names):
             raise InvalidMatrix("generator names 'e' and '∅' are reserved for the identity")
+        for x in names:
+            if x == "-" or "," in x or any(c.isspace() for c in x):
+                raise InvalidMatrix(f"generator name {x!r} is '-' or has whitespace or ','")
         self.names = names
         self._index = {x: i for i, x in enumerate(names)}
 
@@ -225,9 +237,6 @@ class CoxeterSystem:
         self._leq_cache: dict[tuple[Word, Word], bool] = {}
         self._interval_cache: dict[Word, object] = {}
         self._cosetmax_cache: dict[tuple[Word, Word, GenSet], object] = {}
-        self._candidates_cache: dict[tuple[Word, Word, GenSet], frozenset] = {}
-        self._redwords_cache: dict[Word, tuple[Word, ...]] = {}
-        self._brute_cache: dict[Word, frozenset] = {}
 
         self.identity = self._intern(())
         self._gens = tuple(self._intern((i,)) for i in range(n))

@@ -15,9 +15,9 @@ of x:
   s times the recursive maximum for (v, s x, J).
 
 The chosen s is the smallest left descent of v, but the result is
-independent of the choice; :func:`coset_max_candidates` explores every
-choice and is used for verification.  Results carry the per-level trace and
-are memoised per system.
+independent of the choice; :func:`.oracle.coset_max_candidates` explores
+every choice and is used for verification.  Results carry the per-level
+trace and are memoised per system.
 """
 
 from __future__ import annotations
@@ -27,13 +27,8 @@ from typing import Iterable, Mapping
 
 from .bruhat import leq
 from .core import Element, GenSet, demazure, demazure_word
-from .errors import (
-    BadSubsetChain,
-    EmptyIntersection,
-    InternalAssertionFailed,
-    NotMinimalRep,
-)
-from .parabolic import coset_rep, decompose, min_reps_leq
+from .errors import EmptyIntersection, InternalAssertionFailed
+from .parabolic import check_chain, check_min_rep, coset_rep, decompose, min_reps_leq
 
 
 @dataclass(frozen=True)
@@ -93,11 +88,8 @@ def _stabilizers(x: Element, J: GenSet) -> GenSet:
 
 
 def _validate(w: Element, x: Element, J: Iterable[int]) -> GenSet:
-    sys = w.system
-    sys._check_mine(x)
-    J = sys.check_genset(J)
-    if x.right_descents & J:
-        raise NotMinimalRep(f"{x} is not a minimal representative for J={sys.genset_str(J)}")
+    w.system._check_mine(x)
+    J = check_min_rep(x, J)
     if not leq(x, w):
         raise EmptyIntersection(f"{x} is not below {w}, so [e,w] meet xW_J is empty")
     return J
@@ -179,13 +171,7 @@ def max_in_relative_coset(
     has the unique maximum coset_rep(q_K, J) where q_K is the plain maximum
     for (w, x, K); the shift x^-1 q lies in W^J meet W_K.
     """
-    sys = w.system
-    J = sys.check_genset(J)
-    K = sys.check_genset(K)
-    if not J <= K:
-        raise BadSubsetChain(f"J={sys.genset_str(J)} is not a subset of K={sys.genset_str(K)}")
-    if w.right_descents & J:
-        raise NotMinimalRep(f"{w} is not a minimal representative for J={sys.genset_str(J)}")
+    J, K = check_chain(w, J, K)
     inner = max_in_coset(w, x, K)  # validates x in W^K and x <= w
     q = coset_rep(inner.maximum, J)
     shift = x.inverse() * q
@@ -198,32 +184,3 @@ def max_in_relative_coset(
 
 def relative_shift(w: Element, x: Element, J: Iterable[int], K: Iterable[int]) -> Element:
     return max_in_relative_coset(w, x, J, K).shift
-
-
-def coset_max_candidates(w: Element, x: Element, J: Iterable[int]) -> frozenset[Element]:
-    """Maxima produced by every tie-break choice of s at every level.
-
-    The recursion is deterministic (smallest s); this explores all s in
-    D_L(v) instead and collects the results.  Verification sweeps assert
-    the set is exactly {max_in_coset(w, x, J).maximum}.
-    """
-    sys = w.system
-    J = _validate(w, x, J)
-    key = (w.word, x.word, J)
-    hit = sys._candidates_cache.get(key)
-    if hit is not None:
-        return hit
-    if x.length == 0:
-        out = frozenset((max_in_parabolic(w, J),))
-    else:
-        outside = frozenset(range(sys.rank)) - x.left_descents
-        d = decompose(w, outside, "left")
-        prefix_max = max_in_parabolic(d.u, _stabilizers(x, J))
-        acc = set()
-        for s in sorted(d.v.left_descents):
-            sx = sys._lmul_gen(s, x)
-            for inner in coset_max_candidates(d.v, sx, J):
-                acc.add(demazure(prefix_max, sys._lmul_gen(s, inner)))
-        out = frozenset(acc)
-    sys._candidates_cache[key] = out
-    return out

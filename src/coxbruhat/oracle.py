@@ -5,7 +5,12 @@ closes downward by single-letter deletions over *all* reduced words instead
 of enumerating subwords of one word; the coset-maximum oracle filters the
 interval and scans for maxima instead of recursing; word equality is decided
 by bounded braid-move/deletion rewriting instead of the geometric
-representation.
+representation.  :func:`coset_max_candidates` instead reruns the fast
+recursion under every choice it could make.
+
+The memo tables live in each system's instance dictionary: their values hold
+elements, which hold their system, so a table kept elsewhere would keep
+every system alive.
 """
 
 from __future__ import annotations
@@ -14,19 +19,16 @@ from typing import Iterable
 
 from .bruhat import leq, lower_interval
 from .core import CoxeterSystem, Element, Word, demazure
-from .errors import (
-    EmptyIntersection,
-    IntervalTooLarge,
-    NotMinimalRep,
-    NotUnique,
-    SearchBudgetExceeded,
-)
+from .coset_max import _stabilizers, _validate, max_in_parabolic
+from .errors import EmptyIntersection, IntervalTooLarge, NotUnique, SearchBudgetExceeded
+from .parabolic import check_min_rep, decompose
 
 
 def all_reduced_words(w: Element) -> tuple[Word, ...]:
     """Every reduced word of w, lexicographically sorted."""
     sys = w.system
-    cached = sys._redwords_cache.get(w.word)
+    cache = vars(sys).setdefault("_redwords_cache", {})
+    cached = cache.get(w.word)
     if cached is not None:
         return cached
     if w.length == 0:
@@ -37,7 +39,7 @@ def all_reduced_words(w: Element) -> tuple[Word, ...]:
             rest = all_reduced_words(sys._lmul_gen(s, w))
             acc.extend((s,) + r for r in rest)
         out = tuple(acc)
-    sys._redwords_cache[w.word] = out
+    cache[w.word] = out
     return out
 
 
@@ -53,7 +55,8 @@ def brute_interval(w: Element, *, cap: int | None = None) -> frozenset[Element]:
         cap = sys.interval_cap
     if w.length > cap:
         raise IntervalTooLarge(f"length {w.length} exceeds interval cap {cap}")
-    cached = sys._brute_cache.get(w.word)
+    cache = vars(sys).setdefault("_brute_cache", {})
+    cached = cache.get(w.word)
     if cached is not None:
         return cached
     seen = {w}
@@ -67,7 +70,7 @@ def brute_interval(w: Element, *, cap: int | None = None) -> frozenset[Element]:
                     seen.add(z)
                     frontier.append(z)
     out = frozenset(seen)
-    sys._brute_cache[w.word] = out
+    cache[w.word] = out
     return out
 
 
@@ -78,11 +81,8 @@ def brute_coset_max(w: Element, x: Element, J: Iterable[int]) -> Element:
     falsify the theorem the fast path relies on) and EmptyIntersection if x
     is not below w.
     """
-    sys = w.system
-    sys._check_mine(x)
-    J = sys.check_genset(J)
-    if x.right_descents & J:
-        raise NotMinimalRep(f"{x} is not a minimal representative for J={sys.genset_str(J)}")
+    w.system._check_mine(x)
+    J = check_min_rep(x, J)
     xinv = x.inverse()
     members = [y for y in brute_interval(w) if (xinv * y).support <= J]
     if not members:
@@ -94,6 +94,36 @@ def brute_coset_max(w: Element, x: Element, J: Iterable[int]) -> Element:
     if not all(leq(z, q) for z in members):
         raise NotUnique("unique maximal element does not dominate the intersection")
     return q
+
+
+def coset_max_candidates(w: Element, x: Element, J: Iterable[int]) -> frozenset[Element]:
+    """Maxima produced by every tie-break choice of s at every level.
+
+    The recursion is deterministic (smallest s); this explores all s in
+    D_L(v) instead and collects the results.  Verification sweeps assert
+    the set is exactly {max_in_coset(w, x, J).maximum}.
+    """
+    sys = w.system
+    J = _validate(w, x, J)
+    cache = vars(sys).setdefault("_candidates_cache", {})
+    key = (w.word, x.word, J)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    if x.length == 0:
+        out = frozenset((max_in_parabolic(w, J),))
+    else:
+        outside = frozenset(range(sys.rank)) - x.left_descents
+        d = decompose(w, outside, "left")
+        prefix_max = max_in_parabolic(d.u, _stabilizers(x, J))
+        acc = set()
+        for s in sorted(d.v.left_descents):
+            sx = sys._lmul_gen(s, x)
+            for inner in coset_max_candidates(d.v, sx, J):
+                acc.add(demazure(prefix_max, sys._lmul_gen(s, inner)))
+        out = frozenset(acc)
+    cache[key] = out
+    return out
 
 
 class _Budget:

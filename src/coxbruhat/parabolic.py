@@ -81,19 +81,31 @@ def min_reps_leq(w: Element, J: Iterable[int]) -> frozenset[Element]:
     )
 
 
+def check_min_rep(w: Element, J: Iterable[int]) -> GenSet:
+    """J as a checked generator set; raises NotMinimalRep unless w is in W^J."""
+    J = w.system.check_genset(J)
+    if w.right_descents & J:
+        raise NotMinimalRep(f"{w} is not a minimal representative for J={w.system.genset_str(J)}")
+    return J
+
+
+def check_chain(w: Element, J: Iterable[int], K: Iterable[int]) -> tuple[GenSet, GenSet]:
+    """(J, K) as checked generator sets for a relative call: J inside K, w in W^J."""
+    sys = w.system
+    J = sys.check_genset(J)
+    K = sys.check_genset(K)
+    if not J <= K:
+        raise BadSubsetChain(f"J={sys.genset_str(J)} is not a subset of K={sys.genset_str(K)}")
+    return check_min_rep(w, J), K
+
+
 def relative_rep(w: Element, J: Iterable[int], K: Iterable[int]) -> tuple[Element, Element]:
     """Split w in W^J as x y with x in W^K and y in W^J restricted to W_K.
 
     Requires J contained in K and w a minimal representative for J.  The
     factorisation is length additive and unique.
     """
-    sys = w.system
-    J = sys.check_genset(J)
-    K = sys.check_genset(K)
-    if not J <= K:
-        raise BadSubsetChain(f"J={sys.genset_str(J)} is not a subset of K={sys.genset_str(K)}")
-    if w.right_descents & J:
-        raise NotMinimalRep(f"{w} is not a minimal representative for J={sys.genset_str(J)}")
+    J, K = check_chain(w, J, K)
     d = decompose(w, K, "right")
     if d.u.right_descents & J:
         raise InternalAssertionFailed("relative factor left the J-minimal representatives")

@@ -20,9 +20,9 @@ from typing import Iterable
 
 from .bruhat import poincare
 from .core import Element, GenSet
-from .errors import BadSubsetChain, InternalAssertionFailed, NotMinimalRep
+from .errors import InternalAssertionFailed
 from .coset_max import max_in_parabolic, max_in_relative_coset, shifted_max_set
-from .parabolic import decompose, min_reps_leq
+from .parabolic import check_chain, check_min_rep, decompose, min_reps_leq
 from .polynomial import IntPolynomial
 
 
@@ -80,10 +80,7 @@ class BPReport:
 
 def relative_poincare(w: Element, J: Iterable[int]) -> IntPolynomial:
     """P^J_w: rank generating function of the J-minimal elements of [e, w]."""
-    sys = w.system
-    J = sys.check_genset(J)
-    if w.right_descents & J:
-        raise NotMinimalRep(f"{w} is not a minimal representative for J={sys.genset_str(J)}")
+    J = check_min_rep(w, J)
     counts = [0] * (w.length + 1)
     for y in min_reps_leq(w, J):
         counts[y.length] += 1
@@ -132,13 +129,7 @@ def relative_decompose_poincare(
     the shift at x = e, the sum collapses and the verified product
     (P^K_v, P^J_u) is attached.
     """
-    sys = w.system
-    J = sys.check_genset(J)
-    K = sys.check_genset(K)
-    if not J <= K:
-        raise BadSubsetChain(f"J={sys.genset_str(J)} is not a subset of K={sys.genset_str(K)}")
-    if w.right_descents & J:
-        raise NotMinimalRep(f"{w} is not a minimal representative for J={sys.genset_str(J)}")
+    J, K = check_chain(w, J, K)
     terms = []
     total = IntPolynomial.zero()
     shifts: dict[Element, Element] = {}
@@ -150,7 +141,7 @@ def relative_decompose_poincare(
         total = total + factor.shifted(x.length)
     d = decompose(w, K, "right")
     factorization = None
-    if shifts[d.v] == shifts[sys.identity]:
+    if shifts[d.v] == shifts[w.system.identity]:
         pv = relative_poincare(d.v, K)
         pu = relative_poincare(d.u, J)
         if pv * pu != total:

@@ -1,0 +1,59 @@
+"""Malformed matrices, unparsable generator names and negative verify counts."""
+
+from __future__ import annotations
+
+import json
+import re
+
+import pytest
+
+from coxbruhat import CoxeterSystem, InvalidMatrix
+from coxbruhat.cli import main
+
+BAD_ENTRIES = (
+    ([[1, 3.9], [3.9, 1]], "m(0,1)"),
+    ([[True, 3], [3, 1]], "m(0,0)"),
+    ([[1, "x"], ["x", 1]], "m(0,1)"),
+    ([[1, 3], [3, None]], "m(1,1)"),
+)
+
+
+@pytest.mark.parametrize("matrix, where", BAD_ENTRIES)
+def test_non_integer_entries_rejected(matrix, where):
+    with pytest.raises(InvalidMatrix, match=rf"entry {re.escape(where)}"):
+        CoxeterSystem(matrix)
+
+
+@pytest.mark.parametrize("matrix, where", BAD_ENTRIES)
+def test_non_integer_entries_cli(tmp_path, capsys, matrix, where):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"m": matrix}), encoding="utf-8")
+    code = main(["--matrix", str(path), "len", "--w", "e"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("InvalidMatrix: ") and where in lines[0]
+
+
+@pytest.mark.parametrize("name", ["a b", "a\tb", "a,b", "-", " a"])
+def test_unparsable_generator_names_rejected(name):
+    with pytest.raises(InvalidMatrix, match="generator name"):
+        CoxeterSystem([[1, 3], [3, 1]], names=[name, "c"])
+
+
+def test_parsable_generator_names_accepted():
+    system = CoxeterSystem([[1, 3], [3, 1]], names=["a-1", "b_2"])
+    assert str(system.element("a-1 b_2")) == "a-1 b_2"
+    assert system.parse_genset("a-1,b_2") == frozenset((0, 1))
+
+
+@pytest.mark.parametrize("flags", [("--max-len", "-1"), ("--samples", "-3"),
+                                   ("--max-len", "-1", "--samples", "-3")])
+def test_verify_rejects_negative_counts(capsys, flags):
+    code = main(["--type", "A3", "verify", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flags[0]}: ")
