@@ -13,6 +13,7 @@ does not limit them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter
 
 from .core import Element
@@ -31,6 +32,11 @@ class Interval:
     @property
     def rank_sizes(self) -> tuple[int, ...]:  # rank_sizes[k] = number of members of length k
         return tuple(map(len, self.ranks))
+
+    @cached_property
+    def poincare(self) -> IntPolynomial:
+        """Rank generating function, built on first use and kept with the interval."""
+        return IntPolynomial.from_coeffs(self.rank_sizes)
 
     def sorted_members(self) -> list[Element]:
         return list(self)
@@ -110,4 +116,4 @@ def covers(w: Element) -> frozenset[Element]:
 
 def poincare(w: Element) -> IntPolynomial:
     """Rank generating function of [e, w]."""
-    return IntPolynomial.from_coeffs(lower_interval(w).rank_sizes)
+    return lower_interval(w).poincare

@@ -13,6 +13,7 @@ import itertools
 import json
 import random
 import sys as _sys
+from operator import attrgetter
 
 from . import oracle
 from .bruhat import covers, leq, lower_interval, poincare
@@ -20,7 +21,7 @@ from .core import CoxeterSystem, Element, element_from_permutation
 from .coset_max import max_in_coset, max_in_relative_coset, shifted_max_set
 from .dot import hasse_dot, hasse_graph
 from .errors import CoxeterError
-from .parabolic import coset_rep, decompose, min_reps_leq
+from .parabolic import coset_rep, decompose, min_reps_in_order
 from .poincare import (
     bp_report,
     decompose_poincare,
@@ -115,7 +116,7 @@ def _cmd_interval(system, args, fmt):
 
 def _cmd_covers(system, args, fmt):
     w = _w_arg(system, args)
-    down = [str(y) for y in sorted(covers(w))]
+    down = [str(y) for y in sorted(covers(w), key=attrgetter("word"))]  # one length: ShortLex
     if fmt == "json":
         return _json_out({"command": "covers", "w": str(w), "covers": down})
     return "\n".join(down)
@@ -387,7 +388,7 @@ def _cmd_verify(system, args, fmt):
                for J in itertools.combinations(range(system.rank), size)]
     for w in elems:
         for J in subsets if len(subsets) <= 16 else rng.sample(subsets, 16):
-            for x in sorted(min_reps_leq(w, J)):
+            for x in min_reps_in_order(w, J):
                 triples += 1
                 res = max_in_coset(w, x, J)
                 if oracle.brute_coset_max(w, x, J) != res.maximum:

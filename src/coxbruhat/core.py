@@ -26,9 +26,11 @@ group raise ``InternalAssertionFailed`` from lengths of about 15, 19 and 43
 are produced greedily by peeling off the smallest left descent.
 
 Systems intern their elements: per system each group element exists as one
-immutable Element object, and generator products on either side are
-memoised.  All caches are pure, so concurrent use can at worst duplicate
-work, never corrupt it.
+immutable Element object.  Each element stores its products with every
+generator on either side in neighbour slots (``_rmul[s]`` for w*s,
+``_lmul[s]`` for s*w), filled on first use; computing w*s also fills the
+slot of w*s that leads back to w.  All caches are pure, so concurrent use
+can at worst duplicate work, never corrupt it.
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ class Element:
     :func:`coxbruhat.bruhat.leq`.
     """
 
-    __slots__ = ("system", "word", "_mat", "_imat", "_left", "_right", "_inv", "_hash")
+    __slots__ = ("system", "word", "_mat", "_imat", "_left", "_right", "_inv", "_hash",
+                 "_rmul", "_lmul")
 
     def __init__(self, system: "CoxeterSystem", word: Word, mat, imat):
         self.system = system
@@ -78,6 +81,8 @@ class Element:
         self._right: GenSet | None = None
         self._inv: Element | None = None
         self._hash = hash(word)
+        self._rmul: list[Element | None] = [None] * system.rank  # _rmul[s] = self * s
+        self._lmul: list[Element | None] = [None] * system.rank  # _lmul[s] = s * self
 
     @property
     def length(self) -> int:
@@ -231,9 +236,8 @@ class CoxeterSystem:
             nbrs.append(tuple(row))
         self._nbrs = tuple(nbrs)
 
+        # Generator products live on the elements (Element._rmul, _lmul).
         self._elements: dict[Word, Element] = {}
-        self._mul_cache: dict[tuple[Word, int], Element] = {}
-        self._lmul_cache: dict[tuple[int, Word], Element] = {}
         self._leq_cache: dict[tuple[Word, Word], bool] = {}
         self._interval_cache: dict[Word, object] = {}
         self._cosetmax_cache: dict[tuple[Word, Word, GenSet], object] = {}
@@ -414,8 +418,7 @@ class CoxeterSystem:
 
     def _mul_gen(self, elem: Element, s: int) -> Element:
         """elem * s for a single generator s."""
-        key = (elem.word, s)
-        hit = self._mul_cache.get(key)
+        hit = elem._rmul[s]
         if hit is not None:
             return hit
         if s in elem.right_descents:
@@ -429,14 +432,13 @@ class CoxeterSystem:
         irows = [list(r) for r in elem._imat]
         self._apply_left(s, irows)  # (elem s)^-1 = s elem^-1
         out = self._intern(self._canonical(irows, newlen))
-        self._mul_cache[key] = out
-        self._mul_cache[(out.word, s)] = elem
+        elem._rmul[s] = out
+        out._rmul[s] = elem
         return out
 
     def _lmul_gen(self, s: int, elem: Element) -> Element:
         """s * elem for a single generator s."""
-        key = (s, elem.word)
-        hit = self._lmul_cache.get(key)
+        hit = elem._lmul[s]
         if hit is not None:
             return hit
         if s in elem.left_descents:
@@ -450,8 +452,8 @@ class CoxeterSystem:
         irows = [list(r) for r in elem._imat]
         self._apply_right(s, irows)  # (s elem)^-1 = elem^-1 s
         out = self._intern(self._canonical(irows, newlen))
-        self._lmul_cache[key] = out
-        self._lmul_cache[(s, out.word)] = elem
+        elem._lmul[s] = out
+        out._lmul[s] = elem
         return out
 
     def _check_mine(self, elem: Element) -> None:

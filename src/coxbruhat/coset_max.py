@@ -28,7 +28,7 @@ from typing import Iterable, Mapping
 from .bruhat import leq
 from .core import Element, GenSet, demazure, demazure_word
 from .errors import EmptyIntersection, InternalAssertionFailed
-from .parabolic import check_chain, check_min_rep, coset_rep, decompose, min_reps_leq
+from .parabolic import check_chain, check_min_rep, coset_rep, decompose, min_reps_in_order
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,18 @@ def _validate(w: Element, x: Element, J: Iterable[int]) -> GenSet:
 
 def max_in_coset(w: Element, x: Element, J: Iterable[int]) -> CosetMaxResult:
     """Maximum of [e, w] meet x W_J, with its shift and recursion trace."""
+    if type(J) is frozenset:
+        # Only validated triples are memoised, so a hit for these very elements
+        # and an all-int J (1.0 hashes and compares like 1) needs no new checks.
+        hit = w.system._cosetmax_cache.get((w.word, x.word, J))
+        if hit is not None and hit.w is w and hit.x is x and all(type(s) is int for s in J):
+            return hit
+    return _max_in_coset(w, x, _validate(w, x, J))
+
+
+def _max_in_coset(w: Element, x: Element, J: GenSet) -> CosetMaxResult:
+    """max_in_coset for a triple the caller has checked: x in W^J, x <= w."""
     sys = w.system
-    J = _validate(w, x, J)
     key = (w.word, x.word, J)
     hit = sys._cosetmax_cache.get(key)
     if hit is not None:
@@ -122,7 +132,7 @@ def max_in_coset(w: Element, x: Element, J: Iterable[int]) -> CosetMaxResult:
             raise InternalAssertionFailed("s*x left the minimal representatives")
         if not leq(sx, v):
             raise InternalAssertionFailed("s*x is not below the suffix of the split")
-        inner = max_in_coset(v, sx, J)
+        inner = _max_in_coset(v, sx, J)
         sq = sys._lmul_gen(s, inner.maximum)
         if sq.length <= inner.maximum.length:
             raise InternalAssertionFailed("s shortened the recursive maximum")
@@ -140,9 +150,10 @@ def max_in_coset(w: Element, x: Element, J: Iterable[int]) -> CosetMaxResult:
         )
         trace = (step,) + inner.trace
 
-    if not leq(q, w) or coset_rep(q, J) != x:
+    d = decompose(q, J)  # q = x * d.u exactly when q lies in x W_J
+    if not leq(q, w) or d.v is not x:
         raise InternalAssertionFailed("computed maximum is not in [e,w] meet xW_J")
-    shift = x.inverse() * q
+    shift = d.u
     if not (shift.support <= J) or q.length != x.length + shift.length:
         raise InternalAssertionFailed("shift is not a length-additive W_J factor")
     res = CosetMaxResult(w=w, x=x, J=J, maximum=q, shift=shift, trace=trace)
@@ -158,7 +169,8 @@ def coset_shift(w: Element, x: Element, J: Iterable[int]) -> Element:
 def shifted_max_set(w: Element, J: Iterable[int]) -> ShiftedMaxSet:
     """Shifts for every minimal representative below w, ShortLex ordered."""
     J = w.system.check_genset(J)
-    pairs = {x: max_in_coset(w, x, J).shift for x in sorted(min_reps_leq(w, J))}
+    # Each representative is in W^J and below w, so the checks of max_in_coset hold.
+    pairs = {x: _max_in_coset(w, x, J).shift for x in min_reps_in_order(w, J)}
     return ShiftedMaxSet(w=w, J=J, pairs=pairs, values=frozenset(pairs.values()))
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable
 
 from .bruhat import Interval, covers, lower_interval
@@ -32,7 +33,8 @@ def hasse_graph(w: Element, J: Iterable[int] | None = None) -> HasseGraph:
         # Each representative is the first member of its coset in ShortLex order.
         index = {x: i for i, x in enumerate(dict.fromkeys(rep.values()))}
         colors = {y: COLORS[index[x] % len(COLORS)] for y, x in rep.items()}
-    edges = tuple((c, y) for y in itv for c in sorted(covers(y)))
+    # Covers of y share one length, so sorting by word is ShortLex.
+    edges = tuple((c, y) for y in itv for c in sorted(covers(y), key=attrgetter("word")))
     return HasseGraph(interval=itv, colors=colors, edges=edges)
 
 

@@ -75,10 +75,13 @@ def coset_rep(w: Element, J: Iterable[int]) -> Element:
 
 def min_reps_leq(w: Element, J: Iterable[int]) -> frozenset[Element]:
     """All minimal coset representatives below w: [e, w] intersected with W^J."""
+    return frozenset(min_reps_in_order(w, J))
+
+
+def min_reps_in_order(w: Element, J: Iterable[int]) -> list[Element]:
+    """The elements of min_reps_leq(w, J) in ShortLex order, as lower_interval stores them."""
     J = w.system.check_genset(J)
-    return frozenset(
-        u for u in lower_interval(w).members if not (u.right_descents & J)
-    )
+    return [u for u in lower_interval(w) if not (u.right_descents & J)]
 
 
 def check_min_rep(w: Element, J: Iterable[int]) -> GenSet:

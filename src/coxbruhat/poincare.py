@@ -22,7 +22,7 @@ from .bruhat import poincare
 from .core import Element, GenSet
 from .errors import InternalAssertionFailed
 from .coset_max import max_in_parabolic, max_in_relative_coset, shifted_max_set
-from .parabolic import check_chain, check_min_rep, decompose, min_reps_leq
+from .parabolic import check_chain, check_min_rep, decompose, min_reps_in_order
 from .polynomial import IntPolynomial
 
 
@@ -82,7 +82,7 @@ def relative_poincare(w: Element, J: Iterable[int]) -> IntPolynomial:
     """P^J_w: rank generating function of the J-minimal elements of [e, w]."""
     J = check_min_rep(w, J)
     counts = [0] * (w.length + 1)
-    for y in min_reps_leq(w, J):
+    for y in min_reps_in_order(w, J):
         counts[y.length] += 1
     return IntPolynomial.from_coeffs(counts)
 
@@ -133,7 +133,7 @@ def relative_decompose_poincare(
     terms = []
     total = IntPolynomial.zero()
     shifts: dict[Element, Element] = {}
-    for x in sorted(min_reps_leq(w, K)):
+    for x in min_reps_in_order(w, K):
         m = max_in_relative_coset(w, x, J, K).shift
         shifts[x] = m
         factor = relative_poincare(m, J)
