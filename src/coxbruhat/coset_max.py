@@ -97,12 +97,6 @@ def _validate(w: Element, x: Element, J: Iterable[int]) -> GenSet:
 
 def max_in_coset(w: Element, x: Element, J: Iterable[int]) -> CosetMaxResult:
     """Maximum of [e, w] meet x W_J, with its shift and recursion trace."""
-    if type(J) is frozenset:
-        # Only validated triples are memoised, so a hit for these very elements
-        # and an all-int J (1.0 hashes and compares like 1) needs no new checks.
-        hit = w.system._cosetmax_cache.get((w.word, x.word, J))
-        if hit is not None and hit.w is w and hit.x is x and all(type(s) is int for s in J):
-            return hit
     return _max_in_coset(w, x, _validate(w, x, J))
 
 
