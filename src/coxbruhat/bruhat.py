@@ -65,7 +65,7 @@ def leq(u: Element, w: Element) -> bool:
     if u.length == 0:
         return True
     cache = sys._leq_cache
-    key = (u.word, w.word)
+    key = (u, w)
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -91,7 +91,7 @@ def lower_interval(w: Element, *, cap: int | None = None) -> Interval:
         cap = sys.interval_cap
     if w.length > cap:
         raise IntervalTooLarge(f"length {w.length} exceeds interval cap {cap}")
-    cached = sys._interval_cache.get(w.word)
+    cached = sys._interval_cache.get(w)
     if cached is not None:
         return cached
     members = {sys.identity}
@@ -102,7 +102,7 @@ def lower_interval(w: Element, *, cap: int | None = None) -> Interval:
         rows[len(u.word)].append(u)
     ranks = tuple(tuple(sorted(row, key=attrgetter("word"))) for row in rows)  # ShortLex
     itv = Interval(top=w, members=frozenset(members), ranks=ranks)
-    sys._interval_cache[w.word] = itv
+    sys._interval_cache[w] = itv
     return itv
 
 

@@ -5,9 +5,8 @@ A :class:`CoxeterSystem` is built from a Coxeter matrix ``m`` with
 ``m[i][i] == 1`` and off-diagonal entries ``2, 3, ...`` (``0`` encodes an
 infinite bond).  Group elements are :class:`Element` values kept in canonical
 form: the ShortLex-least reduced word, ordered by length and then
-lexicographically by generator index.  Two elements are equal exactly when
-their canonical words coincide, so equality, hashing and sorting are cheap
-and deterministic.
+lexicographically by generator index.  Sorting compares canonical words, so
+it is deterministic.
 
 The word problem is solved with the standard geometric representation.
 Each generator acts on the real span of the simple roots; the pairing of two
@@ -22,11 +21,14 @@ tolerance up to the default cap.  For infinite non-affine groups it does not:
 root coordinates grow exponentially, and random reduced walks in the all-5
 rank-4 matrix, the ``(3, inf, 3)`` triangle group and the rank-3 universal
 group raise ``InternalAssertionFailed`` from lengths of about 15, 19 and 43
-(ROADMAP item 3 replaces the floats with exact arithmetic).  Canonical words
-are produced greedily by peeling off the smallest left descent.
+(the ROADMAP item "Exact word problem: retire SIGN_TOL" replaces the floats
+with exact arithmetic).  Canonical words are produced greedily by peeling off
+the smallest left descent.
 
 Systems intern their elements: per system each group element exists as one
-immutable Element object.  Each element stores its products with every
+immutable Element object, built only by ``CoxeterSystem._intern``.  Equality
+and hashing are therefore plain object identity, and the memo tables are
+keyed by the elements themselves.  Each element stores its products with every
 generator on either side in neighbour slots (``_rmul[s]`` for w*s,
 ``_lmul[s]`` for s*w), filled on first use; computing w*s also fills the
 slot of w*s that leads back to w.  All caches are pure, so concurrent use
@@ -62,15 +64,15 @@ IDENTITY_TOKENS = ("e", "∅")
 class Element:
     """A group element, held as its ShortLex-least reduced word.
 
-    Instances are created and interned by their :class:`CoxeterSystem`; do
-    not construct them directly.  The comparison operators implement the
-    ShortLex *word* order (length, then letters) used for deterministic
-    output -- this is not Bruhat order, for which see
-    :func:`coxbruhat.bruhat.leq`.
+    Instances are created and interned by their :class:`CoxeterSystem`, one
+    object per group element; do not construct them directly.  ``==`` and
+    ``hash`` are object identity, so elements of two systems are never equal,
+    even with the same word.  The ordering operators implement the ShortLex
+    *word* order (length, then letters) used for deterministic output -- this
+    is not Bruhat order, for which see :func:`coxbruhat.bruhat.leq`.
     """
 
-    __slots__ = ("system", "word", "_mat", "_imat", "_left", "_right", "_inv", "_hash",
-                 "_rmul", "_lmul")
+    __slots__ = ("system", "word", "_mat", "_imat", "_left", "_right", "_inv", "_rmul", "_lmul")
 
     def __init__(self, system: "CoxeterSystem", word: Word, mat, imat):
         self.system = system
@@ -80,7 +82,6 @@ class Element:
         self._left: GenSet | None = None
         self._right: GenSet | None = None
         self._inv: Element | None = None
-        self._hash = hash(word)
         self._rmul: list[Element | None] = [None] * system.rank  # _rmul[s] = self * s
         self._lmul: list[Element | None] = [None] * system.rank  # _lmul[s] = s * self
 
@@ -125,18 +126,6 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         return self.system.multiply(self, other)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, Element)
-            and self.system is other.system
-            and self.word == other.word
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __lt__(self, other):
         if not isinstance(other, Element):
@@ -238,9 +227,9 @@ class CoxeterSystem:
 
         # Generator products live on the elements (Element._rmul, _lmul).
         self._elements: dict[Word, Element] = {}
-        self._leq_cache: dict[tuple[Word, Word], bool] = {}
-        self._interval_cache: dict[Word, object] = {}
-        self._cosetmax_cache: dict[tuple[Word, Word, GenSet], object] = {}
+        self._leq_cache: dict[tuple[Element, Element], bool] = {}
+        self._interval_cache: dict[Element, object] = {}
+        self._cosetmax_cache: dict[tuple[Element, Element, GenSet], object] = {}
 
         self.identity = self._intern(())
         self._gens = tuple(self._intern((i,)) for i in range(n))
@@ -412,8 +401,9 @@ class CoxeterSystem:
     def _intern(self, word: Word) -> Element:
         el = self._elements.get(word)
         if el is None:
-            el = self._create(word)
-            self._elements[word] = el
+            # setdefault keeps the first object stored, so a racing caller
+            # cannot leave two objects for one element.
+            el = self._elements.setdefault(word, self._create(word))
         return el
 
     def _mul_gen(self, elem: Element, s: int) -> Element:

@@ -103,7 +103,7 @@ def max_in_coset(w: Element, x: Element, J: Iterable[int]) -> CosetMaxResult:
 def _max_in_coset(w: Element, x: Element, J: GenSet) -> CosetMaxResult:
     """max_in_coset for a triple the caller has checked: x in W^J, x <= w."""
     sys = w.system
-    key = (w.word, x.word, J)
+    key = (w, x, J)
     hit = sys._cosetmax_cache.get(key)
     if hit is not None:
         return hit

@@ -8,9 +8,9 @@ by bounded braid-move/deletion rewriting instead of the geometric
 representation.  :func:`coset_max_candidates` instead reruns the fast
 recursion under every choice it could make.
 
-The memo tables live in each system's instance dictionary: their values hold
-elements, which hold their system, so a table kept elsewhere would keep
-every system alive.
+The memo tables live in each system's instance dictionary: their keys and
+values hold elements, which hold their system, so a table kept elsewhere
+would keep every system alive.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ def all_reduced_words(w: Element) -> tuple[Word, ...]:
     """Every reduced word of w, lexicographically sorted."""
     sys = w.system
     cache = vars(sys).setdefault("_redwords_cache", {})
-    cached = cache.get(w.word)
+    cached = cache.get(w)
     if cached is not None:
         return cached
     if w.length == 0:
@@ -39,7 +39,7 @@ def all_reduced_words(w: Element) -> tuple[Word, ...]:
             rest = all_reduced_words(sys._lmul_gen(s, w))
             acc.extend((s,) + r for r in rest)
         out = tuple(acc)
-    cache[w.word] = out
+    cache[w] = out
     return out
 
 
@@ -56,7 +56,7 @@ def brute_interval(w: Element, *, cap: int | None = None) -> frozenset[Element]:
     if w.length > cap:
         raise IntervalTooLarge(f"length {w.length} exceeds interval cap {cap}")
     cache = vars(sys).setdefault("_brute_cache", {})
-    cached = cache.get(w.word)
+    cached = cache.get(w)
     if cached is not None:
         return cached
     seen = {w}
@@ -70,7 +70,7 @@ def brute_interval(w: Element, *, cap: int | None = None) -> frozenset[Element]:
                     seen.add(z)
                     frontier.append(z)
     out = frozenset(seen)
-    cache[w.word] = out
+    cache[w] = out
     return out
 
 
@@ -106,7 +106,7 @@ def coset_max_candidates(w: Element, x: Element, J: Iterable[int]) -> frozenset[
     sys = w.system
     J = _validate(w, x, J)
     cache = vars(sys).setdefault("_candidates_cache", {})
-    key = (w.word, x.word, J)
+    key = (w, x, J)
     hit = cache.get(key)
     if hit is not None:
         return hit

@@ -78,6 +78,15 @@ class BPReport:
     factorization: tuple[IntPolynomial, IntPolynomial] | None  # (P^J_v, P_u) when BP
 
 
+def _total(w: Element, terms: Iterable[Term]) -> IntPolynomial:
+    """Sum of t^length(x) * factor over the terms, added into one coefficient list."""
+    coeffs = [0] * (w.length + 1)  # every term is the graded size of a part of [e, w]
+    for term in terms:
+        for k, c in enumerate(term.factor.coeffs, term.x.length):
+            coeffs[k] += c
+    return IntPolynomial.from_coeffs(coeffs)
+
+
 def relative_poincare(w: Element, J: Iterable[int]) -> IntPolynomial:
     """P^J_w: rank generating function of the J-minimal elements of [e, w]."""
     J = check_min_rep(w, J)
@@ -91,13 +100,11 @@ def decompose_poincare(w: Element, J: Iterable[int]) -> PoincareDecomposition:
     """P_w as the sum of t^length(x) * P_shift(x) over minimal reps x <= w."""
     J = w.system.check_genset(J)
     sms = shifted_max_set(w, J)
-    terms = []
-    total = IntPolynomial.zero()
-    for x, m in sms.pairs.items():
-        factor = poincare(m)
-        terms.append(Term(x=x, shift=IntPolynomial.t_power(x.length), shifted_max=m, factor=factor))
-        total = total + factor.shifted(x.length)
-    return PoincareDecomposition(w=w, J=J, terms=tuple(terms), total=total)
+    terms = tuple(
+        Term(x=x, shift=IntPolynomial.t_power(x.length), shifted_max=m, factor=poincare(m))
+        for x, m in sms.pairs.items()
+    )
+    return PoincareDecomposition(w=w, J=J, terms=terms, total=_total(w, terms))
 
 
 def bp_report(w: Element, J: Iterable[int]) -> BPReport:
@@ -131,14 +138,13 @@ def relative_decompose_poincare(
     """
     J, K = check_chain(w, J, K)
     terms = []
-    total = IntPolynomial.zero()
     shifts: dict[Element, Element] = {}
     for x in min_reps_in_order(w, K):
         m = max_in_relative_coset(w, x, J, K).shift
         shifts[x] = m
         factor = relative_poincare(m, J)
         terms.append(Term(x=x, shift=IntPolynomial.t_power(x.length), shifted_max=m, factor=factor))
-        total = total + factor.shifted(x.length)
+    total = _total(w, terms)
     d = decompose(w, K, "right")
     factorization = None
     if shifts[d.v] == shifts[w.system.identity]:
