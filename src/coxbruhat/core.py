@@ -13,17 +13,19 @@ Each generator acts on the real span of the simple roots; the pairing of two
 distinct simple roots contributes ``-2*cos(pi/m(i,j))`` (``-2`` for an
 infinite bond), and ``s`` is a right descent of ``w`` exactly when ``w``
 maps the simple root of ``s`` to a negative root.  Negativity is read off
-coordinate signs against a fixed tolerance (``SIGN_TOL``).  Every element's
-matrices are rebuilt from its canonical word, so each entry is at most
-``length_cap`` generator products away from the identity.  For finite and
-affine groups the accumulated floating-point error stays far below the
-tolerance up to the default cap.  For infinite non-affine groups it does not:
-root coordinates grow exponentially, and random reduced walks in the all-5
-rank-4 matrix, the ``(3, inf, 3)`` triangle group and the rank-3 universal
-group raise ``InternalAssertionFailed`` from lengths of about 15, 19 and 43
-(the ROADMAP item "Exact word problem: retire SIGN_TOL" replaces the floats
-with exact arithmetic).  Canonical words are produced greedily by peeling off
-the smallest left descent.
+coordinate signs against a fixed tolerance (``SIGN_TOL``).  A new element
+takes its matrices from the neighbour it was reached from, one generator
+step away (``w*s`` from ``w``, ``s*w`` from ``w``); only the identity and the
+generators are built from their words.  Against a rebuild along the canonical
+word the stored entries drifted by at most about 1e-12, far below the
+tolerance, over every element of H3, B4, F4 and D5 and over reduced words of
+length up to 64 in A~2 to A~4 and H4.  For infinite non-affine groups the
+tolerance does not hold: root coordinates grow exponentially, and random
+reduced walks in the all-5 rank-4 matrix, the ``(3, inf, 3)`` triangle group
+and the rank-3 universal group raise ``InternalAssertionFailed`` from lengths
+of about 13, 18 and 43 (the ROADMAP item "Exact word problem: retire
+SIGN_TOL" replaces the floats with exact arithmetic).  Canonical words are
+produced greedily by peeling off the smallest left descent.
 
 Systems intern their elements: per system each group element exists as one
 immutable Element object, built only by ``CoxeterSystem._intern``.  Equality
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import math
 from functools import total_ordering
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import InternalAssertionFailed, InvalidMatrix, LengthCapExceeded
@@ -60,6 +63,15 @@ GenSet = frozenset[int]
 IDENTITY_TOKENS = ("e", "∅")
 
 
+def _is_index(s, rank: int) -> bool:
+    """Is s a generator index: an ``int`` (not a ``bool``) in ``range(rank)``?
+
+    Callers test ``s.__class__ is int and 0 <= s < rank`` inline first, so
+    the common case costs no call.
+    """
+    return isinstance(s, int) and not isinstance(s, bool) and 0 <= s < rank
+
+
 @total_ordering
 class Element:
     """A group element, held as its ShortLex-least reduced word.
@@ -72,11 +84,14 @@ class Element:
     is not Bruhat order, for which see :func:`coxbruhat.bruhat.leq`.
     """
 
-    __slots__ = ("system", "word", "_mat", "_imat", "_left", "_right", "_inv", "_rmul", "_lmul")
+    __slots__ = (
+        "system", "word", "length", "_mat", "_imat", "_left", "_right", "_inv", "_rmul", "_lmul",
+    )
 
     def __init__(self, system: "CoxeterSystem", word: Word, mat, imat):
         self.system = system
         self.word = word
+        self.length = len(word)
         self._mat = mat    # rows of the matrix of w: column j = w(alpha_j)
         self._imat = imat  # rows of the matrix of w^-1
         self._left: GenSet | None = None
@@ -84,10 +99,6 @@ class Element:
         self._inv: Element | None = None
         self._rmul: list[Element | None] = [None] * system.rank  # _rmul[s] = self * s
         self._lmul: list[Element | None] = [None] * system.rank  # _lmul[s] = s * self
-
-    @property
-    def length(self) -> int:
-        return len(self.word)
 
     @property
     def is_identity(self) -> bool:
@@ -250,7 +261,7 @@ class CoxeterSystem:
     def check_genset(self, gens: Iterable[int]) -> GenSet:
         J = frozenset(gens)
         for s in J:
-            if not isinstance(s, int) or not 0 <= s < self.rank:
+            if not (s.__class__ is int and 0 <= s < self.rank or _is_index(s, self.rank)):
                 raise ValueError(f"generator index {s!r} out of range for rank {self.rank}")
         return J
 
@@ -286,9 +297,10 @@ class CoxeterSystem:
     def normalize(self, letters: Iterable[int]) -> Element:
         """Fold a word into its group element (canonical form)."""
         out = self.identity
+        rank = self.rank
         for s in letters:
-            if not 0 <= s < self.rank:
-                raise ValueError(f"generator index {s!r} out of range for rank {self.rank}")
+            if not (s.__class__ is int and 0 <= s < rank or _is_index(s, rank)):
+                raise ValueError(f"generator index {s!r} out of range for rank {rank}")
             out = self._mul_gen(out, s)
         return out
 
@@ -318,7 +330,7 @@ class CoxeterSystem:
                         nxt.add(self._mul_gen(w, s))
             if not nxt:
                 break
-            level = sorted(nxt)
+            level = sorted(nxt, key=attrgetter("word"))  # one length: ShortLex
             out.extend(level)
         return out
 
@@ -385,6 +397,7 @@ class CoxeterSystem:
     # -- element construction and memoised generator products -----------
 
     def _create(self, word: Word) -> Element:
+        """An element with both matrices rebuilt along its whole word."""
         mat = self._identity_rows()
         for s in word:
             self._apply_right(s, mat)
@@ -398,12 +411,15 @@ class CoxeterSystem:
             tuple(tuple(r) for r in imat),
         )
 
-    def _intern(self, word: Word) -> Element:
+    def _intern(self, word: Word, mat=None, imat=None) -> Element:
+        """The element of a canonical word; new ones take the given matrices,
+        or rebuild them from the word when none are given."""
         el = self._elements.get(word)
         if el is None:
+            el = self._create(word) if mat is None else Element(self, word, mat, imat)
             # setdefault keeps the first object stored, so a racing caller
             # cannot leave two objects for one element.
-            el = self._elements.setdefault(word, self._create(word))
+            el = self._elements.setdefault(word, el)
         return el
 
     def _mul_gen(self, elem: Element, s: int) -> Element:
@@ -421,7 +437,13 @@ class CoxeterSystem:
                 )
         irows = [list(r) for r in elem._imat]
         self._apply_left(s, irows)  # (elem s)^-1 = s elem^-1
-        out = self._intern(self._canonical(irows, newlen))
+        imat = tuple(map(tuple, irows))  # _canonical consumes irows
+        word = self._canonical(irows, newlen)
+        out = self._elements.get(word)
+        if out is None:
+            rows = [list(r) for r in elem._mat]
+            self._apply_right(s, rows)
+            out = self._intern(word, tuple(map(tuple, rows)), imat)
         elem._rmul[s] = out
         out._rmul[s] = elem
         return out
@@ -441,7 +463,13 @@ class CoxeterSystem:
                 )
         irows = [list(r) for r in elem._imat]
         self._apply_right(s, irows)  # (s elem)^-1 = elem^-1 s
-        out = self._intern(self._canonical(irows, newlen))
+        imat = tuple(map(tuple, irows))  # _canonical consumes irows
+        word = self._canonical(irows, newlen)
+        out = self._elements.get(word)
+        if out is None:
+            rows = [list(r) for r in elem._mat]
+            self._apply_left(s, rows)
+            out = self._intern(word, tuple(map(tuple, rows)), imat)
         elem._lmul[s] = out
         out._lmul[s] = elem
         return out
@@ -471,7 +499,7 @@ def demazure_word(system: CoxeterSystem, letters: Iterable[int]) -> Element:
     """Demazure fold of an arbitrary (not necessarily reduced) word."""
     q = system.identity
     for s in letters:
-        if not 0 <= s < system.rank:
+        if not (s.__class__ is int and 0 <= s < system.rank or _is_index(s, system.rank)):
             raise ValueError(f"generator index {s!r} out of range for rank {system.rank}")
         if s not in q.right_descents:
             q = system._mul_gen(q, s)
