@@ -1,0 +1,119 @@
+"""Elements built one generator step from a neighbour keep accurate matrices.
+
+Each new element takes its matrix and inverse matrix from the element it was
+reached from (w*s or s*w from w).  These tests rebuild both matrices along
+the canonical word, independently of the system's own matrix code, and
+check that the stored ones have not drifted.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import pytest
+
+from coxbruhat import CoxeterSystem, bruhat, coxeter_system
+
+TOL = 1e-9
+
+
+def _generator_matrices(system):
+    """S_s for every generator: column j is s(alpha_j) in the simple roots."""
+    n = system.rank
+    out = []
+    for s in range(n):
+        m = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+        m[s][s] = -1.0
+        for j in range(n):
+            mij = system.matrix[s][j]
+            if j != s and mij != 2:
+                m[s][j] = 2.0 if mij == 0 else 2.0 * math.cos(math.pi / mij)
+        out.append(m)
+    return out
+
+
+def _product(a, b):
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def _rebuilt(system, gens, word):
+    """Matrices of w and w^-1 multiplied out along the word."""
+    n = system.rank
+    mat = imat = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    for s in word:
+        mat = _product(mat, gens[s])
+        imat = _product(gens[s], imat)
+    return mat, imat
+
+
+def _worst_drift(system):
+    gens = _generator_matrices(system)
+    worst = 0.0
+    for w in system._elements.values():
+        for stored, ref in zip((w._mat, w._imat), _rebuilt(system, gens, w.word)):
+            for row, ref_row in zip(stored, ref):
+                worst = max(worst, max(abs(x - y) for x, y in zip(row, ref_row)))
+    return worst
+
+
+def _record_new_elements(system, made):
+    """Wrap the generator steps; note (side, direction) of each new element."""
+
+    def watch(side, step):
+        def wrapped(a, b):
+            w = a if side == "right" else b
+            before = len(system._elements)
+            out = step(a, b)
+            if len(system._elements) > before:
+                made.add((side, "up" if out.length > w.length else "down"))
+            return out
+        return wrapped
+
+    system._mul_gen = watch("right", system._mul_gen)
+    system._lmul_gen = watch("left", system._lmul_gen)
+
+
+@pytest.mark.parametrize("name, max_length", [("H3", None), ("B4", None), ("F4", None), ("A~2", 12)])
+def test_matrices_match_a_rebuild_along_the_canonical_word(name, max_length):
+    system = coxeter_system(name)
+    made = set()
+    _record_new_elements(system, made)
+    rng = random.Random(7)
+
+    def random_element():
+        return system.normalize(rng.randrange(system.rank) for _ in range(rng.randint(0, 14)))
+
+    for _ in range(300):
+        u, w = random_element(), random_element()
+        bruhat.leq(u, w)
+        w.inverse()
+        system.multiply(u, w)
+        system._lmul_gen(rng.randrange(system.rank), u)
+    elems = system.elements(max_length)
+    for _ in range(2000):
+        a, b = rng.choice(elems), rng.choice(elems)
+        bruhat.leq(a, b)
+        system.multiply(a, b.inverse())
+
+    assert made == {("right", "up"), ("right", "down"), ("left", "up"), ("left", "down")}
+    assert _worst_drift(system) < TOL
+
+
+def test_only_the_generators_are_built_from_their_words(monkeypatch):
+    created = []
+    create = CoxeterSystem._create
+
+    def counting_create(self, word):
+        created.append(word)
+        return create(self, word)
+
+    monkeypatch.setattr(CoxeterSystem, "_create", counting_create)
+    system = coxeter_system("B4")
+    rng = random.Random(0)
+    word = [rng.randrange(system.rank) for _ in range(20)]
+    w = system.normalize(word)
+    assert w.length > 0
+    assert len(system._elements) > system.rank + 1
+    assert created == [(), (0,), (1,), (2,), (3,)]

@@ -1,0 +1,37 @@
+"""Letters and generator indices must be ints (not bools) in range."""
+
+from __future__ import annotations
+
+import pytest
+
+from coxbruhat import coxeter_system
+from coxbruhat.core import demazure_word
+
+MESSAGE = r"generator index .* out of range for rank 3"
+
+
+@pytest.fixture
+def b3():
+    return coxeter_system("B3")
+
+
+@pytest.mark.parametrize("letter", [1.0, "1", True])
+def test_normalize_rejects_non_int_letters(b3, letter):
+    with pytest.raises(ValueError, match=MESSAGE):
+        b3.normalize([letter])
+
+
+def test_demazure_word_rejects_float_letters(b3):
+    with pytest.raises(ValueError, match=MESSAGE):
+        demazure_word(b3, [1.0])
+
+
+def test_check_genset_rejects_bools(b3):
+    with pytest.raises(ValueError, match=MESSAGE):
+        b3.check_genset([True])
+
+
+def test_int_letters_still_accepted(b3):
+    assert str(b3.normalize([1, 0])) == "s2 s1"
+    assert b3.check_genset([0, 2]) == {0, 2}
+    assert demazure_word(b3, [1, 1]) is b3.generator(1)
