@@ -363,35 +363,33 @@ class CoxeterSystem:
             row[s] = -ms
 
     def _sign_descents(self, mat) -> GenSet:
-        n = self.rank
-        out = []
-        for s in range(n):
-            for i in range(n):
-                if mat[i][s] >= SIGN_TOL:
-                    break
-            else:
-                out.append(s)
-        return frozenset(out)
+        """Generators s whose column of mat, a root, has a negative sum."""
+        return frozenset(s for s, col in enumerate(zip(*mat)) if sum(col) < SIGN_TOL)
 
-    def _canonical(self, irows: list[list[float]], length: int) -> Word:
-        """Greedy ShortLex word from the inverse matrix of an element."""
-        n = self.rank
+    def _canonical(self, imat, length: int) -> Word:
+        """Greedy ShortLex word from the inverse matrix of an element g.
+
+        Only the column sums v[t] = <g^-1 alpha_t, rho> are kept, rho being 1
+        on every simple root: t is a left descent of g exactly when v[t] is
+        negative, and peeling t (g^-1 <- g^-1 S_t) changes v at t and its
+        bonded neighbours only.  v ends at rho exactly when g = e, since W
+        acts simply transitively on chambers.
+        """
+        nbrs = self._nbrs
+        v = [sum(col) for col in zip(*imat)]
         out = []
         for _ in range(length):
-            for s in range(n):
-                for i in range(n):
-                    if irows[i][s] >= SIGN_TOL:
-                        break
-                else:
-                    out.append(s)
+            for t, x in enumerate(v):
+                if x < SIGN_TOL:
                     break
             else:
                 raise InternalAssertionFailed("no left descent found while canonicalising")
-            self._apply_right(out[-1], irows)
-        for i in range(n):
-            for j in range(n):
-                if abs(irows[i][j] - (1.0 if i == j else 0.0)) > 1e-6:
-                    raise InternalAssertionFailed("canonicalisation did not reach the identity")
+            out.append(t)
+            for k, c in nbrs[t]:
+                v[k] += c * x
+            v[t] = -x
+        if any(abs(x - 1.0) > 1e-6 for x in v):
+            raise InternalAssertionFailed("canonicalisation did not reach the identity")
         return tuple(out)
 
     # -- element construction and memoised generator products -----------
@@ -437,8 +435,8 @@ class CoxeterSystem:
                 )
         irows = [list(r) for r in elem._imat]
         self._apply_left(s, irows)  # (elem s)^-1 = s elem^-1
-        imat = tuple(map(tuple, irows))  # _canonical consumes irows
-        word = self._canonical(irows, newlen)
+        imat = tuple(map(tuple, irows))
+        word = self._canonical(imat, newlen)
         out = self._elements.get(word)
         if out is None:
             rows = [list(r) for r in elem._mat]
@@ -463,8 +461,8 @@ class CoxeterSystem:
                 )
         irows = [list(r) for r in elem._imat]
         self._apply_right(s, irows)  # (s elem)^-1 = elem^-1 s
-        imat = tuple(map(tuple, irows))  # _canonical consumes irows
-        word = self._canonical(irows, newlen)
+        imat = tuple(map(tuple, irows))
+        word = self._canonical(imat, newlen)
         out = self._elements.get(word)
         if out is None:
             rows = [list(r) for r in elem._mat]
@@ -528,7 +526,10 @@ def element_from_permutation(system: CoxeterSystem, oneline: Sequence[int]) -> E
         raise ValueError(f"permutation of {n} letters needs a type-A system of rank {n - 1}")
     if not is_type_a(system):
         raise ValueError("permutation input requires a type-A system")
-    p = [int(v) for v in oneline]
+    for v in oneline:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"permutation entry {v!r} is not an integer")
+    p = list(oneline)
     if sorted(p) != list(range(1, n + 1)):
         raise ValueError(f"{list(oneline)!r} is not a permutation of 1..{n}")
     letters: list[int] = []

@@ -193,7 +193,7 @@ def braid_equal(
     w1 = tuple(word1)
     w2 = tuple(word2)
     for s in w1 + w2:
-        if not 0 <= s < sys.rank:
+        if isinstance(s, bool) or not isinstance(s, int) or not 0 <= s < sys.rank:
             raise ValueError(f"generator index {s!r} out of range for rank {sys.rank}")
     b = _Budget(budget)
     return _tits_reduce(sys, w1, b) == _tits_reduce(sys, w2, b)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from coxbruhat import coxeter_system
-from coxbruhat.core import demazure_word
+from coxbruhat.core import demazure_word, element_from_permutation
+from coxbruhat.oracle import braid_equal
 
 MESSAGE = r"generator index .* out of range for rank 3"
 
@@ -35,3 +36,16 @@ def test_int_letters_still_accepted(b3):
     assert str(b3.normalize([1, 0])) == "s2 s1"
     assert b3.check_genset([0, 2]) == {0, 2}
     assert demazure_word(b3, [1, 1]) is b3.generator(1)
+
+
+@pytest.mark.parametrize("letter", [True, 1.0, "1"])
+def test_braid_equal_rejects_non_int_letters(b3, letter):
+    with pytest.raises(ValueError, match=MESSAGE):
+        braid_equal(b3, [letter], [1])
+
+
+@pytest.mark.parametrize("entry", [1.5, True])
+def test_element_from_permutation_rejects_non_int_entries(entry):
+    a3 = coxeter_system("A3")
+    with pytest.raises(ValueError, match="not an integer"):
+        element_from_permutation(a3, [entry, 2, 3, 4])
