@@ -8,24 +8,27 @@ form: the ShortLex-least reduced word, ordered by length and then
 lexicographically by generator index.  Sorting compares canonical words, so
 it is deterministic.
 
-The word problem is solved with the standard geometric representation.
-Each generator acts on the real span of the simple roots; the pairing of two
+The word problem is solved with the standard geometric representation.  Each
+generator acts on the real span of the simple roots; the pairing of two
 distinct simple roots contributes ``-2*cos(pi/m(i,j))`` (``-2`` for an
-infinite bond), and ``s`` is a right descent of ``w`` exactly when ``w``
-maps the simple root of ``s`` to a negative root.  Negativity is read off
-coordinate signs against a fixed tolerance (``SIGN_TOL``).  A new element
-takes its matrices from the neighbour it was reached from, one generator
-step away (``w*s`` from ``w``, ``s*w`` from ``w``); only the identity and the
-generators are built from their words.  Against a rebuild along the canonical
-word the stored entries drifted by at most about 1e-12, far below the
-tolerance, over every element of H3, B4, F4 and D5 and over reduced words of
-length up to 64 in A~2 to A~4 and H4.  For infinite non-affine groups the
-tolerance does not hold: root coordinates grow exponentially, and random
-reduced walks in the all-5 rank-4 matrix, the ``(3, inf, 3)`` triangle group
-and the rank-3 universal group raise ``InternalAssertionFailed`` from lengths
-of about 13, 18 and 43 (the ROADMAP item "Exact word problem: retire
-SIGN_TOL" replaces the floats with exact arithmetic).  Canonical words are
-produced greedily by peeling off the smallest left descent.
+infinite bond), and ``s`` is a right descent of ``w`` exactly when ``w`` maps
+the simple root of ``s`` to a negative root.  The coordinates of a root share
+one sign, so a root is negative exactly when their sum is, and that sum is at
+least the largest coordinate in size (Björner-Brenti, *Combinatorics of
+Coxeter Groups*, ch. 4); negativity is read off these sums against a fixed
+tolerance (``SIGN_TOL``).  A new element takes its matrices from the neighbour
+it was reached from, one generator step away (``w*s`` from ``w``, ``s*w`` from
+``w``); only the identity and the generators are built from their words.
+Against a rebuild along the canonical word the stored entries drifted by at
+most about 1e-12, far below the tolerance, over every element of H3, B4, F4
+and D5 and over reduced words of length up to 64 in A~2 to A~4 and H4.  For
+infinite non-affine groups the tolerance does not hold: root coordinates grow
+exponentially, and random reduced walks in the all-5 rank-4 matrix, the
+``(3, inf, 3)`` triangle group and the rank-3 universal group raise
+``InternalAssertionFailed`` from lengths of about 14, 20 and 42 (the ROADMAP
+item "Exact word problem: retire SIGN_TOL" replaces the floats with exact
+arithmetic).  Canonical words are produced greedily by peeling off the
+smallest left descent, which needs only the column sums of the inverse matrix.
 
 Systems intern their elements: per system each group element exists as one
 immutable Element object, built only by ``CoxeterSystem._intern``.  Equality
@@ -46,9 +49,10 @@ from typing import Iterable, Sequence
 
 from .errors import InternalAssertionFailed, InvalidMatrix, LengthCapExceeded
 
-#: Sign tolerance for root-coordinate tests.  Exact nonzero root coordinates
-#: of finite and affine systems have magnitude well above 1e-3, so this leaves
-#: a wide safety margin over float drift at capped lengths.  Infinite
+#: Sign tolerance for the coordinate sum of a root.  The sum is at least the
+#: largest coordinate in size, and exact nonzero root coordinates of finite and
+#: affine systems have magnitude well above 1e-3, so this leaves a wide safety
+#: margin over float drift at capped lengths.  Infinite
 #: non-affine systems exceed it well below the default length cap (see the
 #: module docstring).
 SIGN_TOL = 1e-8
@@ -372,7 +376,7 @@ class CoxeterSystem:
         Only the column sums v[t] = <g^-1 alpha_t, rho> are kept, rho being 1
         on every simple root: t is a left descent of g exactly when v[t] is
         negative, and peeling t (g^-1 <- g^-1 S_t) changes v at t and its
-        bonded neighbours only.  v ends at rho exactly when g = e, since W
+        bonded neighbours only.  v is all ones exactly when g = e, since W
         acts simply transitively on chambers.
         """
         nbrs = self._nbrs
