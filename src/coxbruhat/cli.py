@@ -1,5 +1,12 @@
 """The coxbruhat command-line interface.
 
+This module parses arguments and renders output; the computing is done by
+the library.  Each subcommand is one row of ``_COMMANDS`` (name, handler,
+help text, arguments); :func:`build_parser` builds the parser from that
+table and :func:`main` calls the handler of the parsed row.  A handler
+returns text, or for ``--format json`` a payload dict that :func:`main`
+serialises with the command name added.
+
 All set-valued output is ShortLex sorted, so runs are byte-for-byte
 reproducible.  JSON output is serialised with sorted keys and a fixed
 indent; parsing and re-serialising it is the identity.
@@ -11,7 +18,6 @@ import argparse
 import functools
 import itertools
 import json
-import random
 import sys as _sys
 from operator import attrgetter
 
@@ -21,7 +27,7 @@ from .core import CoxeterSystem, Element, element_from_permutation
 from .coset_max import max_in_coset, max_in_relative_coset, shifted_max_set
 from .dot import hasse_dot, hasse_graph
 from .errors import CoxeterError
-from .parabolic import coset_rep, decompose, min_reps_in_order
+from .parabolic import coset_rep, decompose
 from .poincare import (
     bp_report,
     decompose_poincare,
@@ -33,10 +39,6 @@ from .presets import coxeter_system, load_matrix_file
 
 class _Usage(Exception):
     """Bad flag value; reported on stderr with exit code 2."""
-
-
-def _json_out(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _element(system: CoxeterSystem, text: str, flag: str) -> Element:
@@ -87,7 +89,7 @@ def _build_system(args) -> CoxeterSystem:
 def _cmd_len(system, args, fmt):
     w = _w_arg(system, args)
     if fmt == "json":
-        return _json_out({"command": "len", "w": str(w), "length": w.length})
+        return {"w": str(w), "length": w.length}
     return str(w.length)
 
 
@@ -96,7 +98,7 @@ def _cmd_leq(system, args, fmt):
     w = _w_arg(system, args)
     res = leq(u, w)
     if fmt == "json":
-        return _json_out({"command": "leq", "u": str(u), "w": str(w), "leq": res})
+        return {"u": str(u), "w": str(w), "leq": res}
     return "true" if res else "false"
 
 
@@ -105,10 +107,8 @@ def _cmd_interval(system, args, fmt):
     itv = lower_interval(w)
     members = [str(y) for y in itv.sorted_members()]
     if fmt == "json":
-        return _json_out({
-            "command": "interval", "w": str(w), "size": len(itv),
-            "rank_sizes": list(itv.rank_sizes), "members": members,
-        })
+        return {"w": str(w), "size": len(itv), "rank_sizes": list(itv.rank_sizes),
+                "members": members}
     lines = [f"size: {len(itv)}", "ranks: " + " ".join(str(n) for n in itv.rank_sizes)]
     lines.extend(members)
     return "\n".join(lines)
@@ -118,7 +118,7 @@ def _cmd_covers(system, args, fmt):
     w = _w_arg(system, args)
     down = [str(y) for y in sorted(covers(w), key=attrgetter("word"))]  # one length: ShortLex
     if fmt == "json":
-        return _json_out({"command": "covers", "w": str(w), "covers": down})
+        return {"w": str(w), "covers": down}
     return "\n".join(down)
 
 
@@ -126,8 +126,7 @@ def _cmd_poincare(system, args, fmt):
     w = _w_arg(system, args)
     poly = poincare(w)
     if fmt == "json":
-        return _json_out({"command": "poincare", "w": str(w),
-                          "coeffs": list(poly.coeffs), "poly": str(poly)})
+        return {"w": str(w), "coeffs": list(poly.coeffs), "poly": str(poly)}
     return str(poly)
 
 
@@ -136,8 +135,8 @@ def _cmd_poincare_rel(system, args, fmt):
     J = _genset(system, args.J, "--J")
     poly = relative_poincare(w, J)
     if fmt == "json":
-        return _json_out({"command": "poincare-rel", "w": str(w), "J": system.genset_str(J),
-                          "coeffs": list(poly.coeffs), "poly": str(poly)})
+        return {"w": str(w), "J": system.genset_str(J),
+                "coeffs": list(poly.coeffs), "poly": str(poly)}
     return str(poly)
 
 
@@ -146,8 +145,8 @@ def _cmd_decompose(system, args, fmt):
     J = _genset(system, args.J, "--J")
     d = decompose(w, J, args.side)
     if fmt == "json":
-        return _json_out({"command": "decompose", "w": str(w), "J": system.genset_str(J),
-                          "side": d.side, "v": str(d.v), "u": str(d.u)})
+        return {"w": str(w), "J": system.genset_str(J),
+                "side": d.side, "v": str(d.v), "u": str(d.u)}
     if d.side == "right":
         return f"v: {d.v}\nu: {d.u}"
     return f"u: {d.u}\nv: {d.v}"
@@ -158,8 +157,7 @@ def _cmd_coset_rep(system, args, fmt):
     J = _genset(system, args.J, "--J")
     rep = coset_rep(w, J)
     if fmt == "json":
-        return _json_out({"command": "coset-rep", "w": str(w),
-                          "J": system.genset_str(J), "rep": str(rep)})
+        return {"w": str(w), "J": system.genset_str(J), "rep": str(rep)}
     return str(rep)
 
 
@@ -199,11 +197,11 @@ def _cmd_max_coset(system, args, fmt):
     J = _genset(system, args.J, "--J")
     res = max_in_coset(w, x, J)
     if fmt == "json":
-        payload = {"command": "max-coset", "w": str(w), "x": str(x),
-                   "J": system.genset_str(J), "q": str(res.maximum), "m": str(res.shift)}
+        payload = {"w": str(w), "x": str(x), "J": system.genset_str(J),
+                   "q": str(res.maximum), "m": str(res.shift)}
         if args.trace:
             payload["trace"] = _trace_json(system, res.trace)
-        return _json_out(payload)
+        return payload
     lines = [f"q: {res.maximum}", f"m: {res.shift}"]
     if args.trace:
         lines.extend(_trace_text(system, res.trace))
@@ -216,8 +214,7 @@ def _cmd_mj_table(system, args, fmt):
     sms = shifted_max_set(w, J)
     if fmt == "json":
         rows = [{"x": str(x), "m": str(m)} for x, m in sms.pairs.items()]
-        return _json_out({"command": "mj-table", "w": str(w),
-                          "J": system.genset_str(J), "rows": rows})
+        return {"w": str(w), "J": system.genset_str(J), "rows": rows}
     lines = ["x\tm"]
     lines.extend(f"{x}\t{m}" for x, m in sms.pairs.items())
     return "\n".join(lines)
@@ -230,8 +227,7 @@ def _cmd_max_set(system, args, fmt):
     values = [str(m) for m in sorted(sms.values)]
     if fmt == "json":
         rows = [{"x": str(x), "m": str(m)} for x, m in sms.pairs.items()]
-        return _json_out({"command": "max-set", "w": str(w), "J": system.genset_str(J),
-                          "pairs": rows, "values": values})
+        return {"w": str(w), "J": system.genset_str(J), "pairs": rows, "values": values}
     lines = [f"{x} -> {m}" for x, m in sms.pairs.items()]
     lines.append("values: " + ", ".join(values))
     return "\n".join(lines)
@@ -244,9 +240,8 @@ def _cmd_rel_max(system, args, fmt):
     K = _genset(system, args.K, "--K")
     res = max_in_relative_coset(w, x, J, K)
     if fmt == "json":
-        return _json_out({"command": args.command, "w": str(w), "x": str(x),
-                          "J": system.genset_str(J), "K": system.genset_str(K),
-                          "q": str(res.maximum), "m": str(res.shift)})
+        return {"w": str(w), "x": str(x), "J": system.genset_str(J),
+                "K": system.genset_str(K), "q": str(res.maximum), "m": str(res.shift)}
     return f"q: {res.maximum}\nm: {res.shift}"
 
 
@@ -255,13 +250,12 @@ def _cmd_bp(system, args, fmt):
     J = _genset(system, args.J, "--J")
     rep = bp_report(w, J)
     if fmt == "json":
-        payload = {"command": "bp", "w": str(w), "J": system.genset_str(J),
-                   "v": str(rep.v), "u": str(rep.u), "u_max": str(rep.parabolic_max),
-                   "is_bp": rep.is_bp,
-                   "factorization": (
-                       [str(rep.factorization[0]), str(rep.factorization[1])]
-                       if rep.factorization else None)}
-        return _json_out(payload)
+        return {"w": str(w), "J": system.genset_str(J),
+                "v": str(rep.v), "u": str(rep.u), "u_max": str(rep.parabolic_max),
+                "is_bp": rep.is_bp,
+                "factorization": (
+                    [str(rep.factorization[0]), str(rep.factorization[1])]
+                    if rep.factorization else None)}
     lines = [f"w: {w}", f"J: {system.genset_str(J)}", f"v: {rep.v}", f"u: {rep.u}",
              f"u_max: {rep.parabolic_max}"]
     if rep.is_bp:
@@ -275,11 +269,11 @@ def _cmd_bp(system, args, fmt):
     return "\n".join(lines)
 
 
-def _decomp_payload(system, dec, command):
+def _decomp_payload(system, dec):
     terms = [{"x": str(t.x), "shift": str(t.shift), "m": str(t.shifted_max),
               "factor": str(t.factor), "factor_coeffs": list(t.factor.coeffs)}
              for t in dec.terms]
-    payload = {"command": command, "w": str(dec.w), "J": system.genset_str(dec.J),
+    payload = {"w": str(dec.w), "J": system.genset_str(dec.J),
                "terms": terms, "factored": dec.factored_str(),
                "total": str(dec.total), "total_coeffs": list(dec.total.coeffs)}
     if dec.K is not None:
@@ -298,7 +292,7 @@ def _cmd_poincare_decomp(system, args, fmt):
     else:
         dec = decompose_poincare(w, J)
     if fmt == "json":
-        return _json_out(_decomp_payload(system, dec, "poincare-decomp"))
+        return _decomp_payload(system, dec)
     lines = [f"w: {w}", f"J: {system.genset_str(dec.J)}"]
     if dec.K is not None:
         lines.append(f"K: {system.genset_str(dec.K)}")
@@ -321,10 +315,10 @@ def _cmd_bp_scan(system, args, fmt):
             rep = bp_report(w, frozenset(J))
             rows.append((frozenset(J), rep))
     if fmt == "json":
-        return _json_out({"command": "bp-scan", "w": str(w), "rows": [
+        return {"w": str(w), "rows": [
             {"J": system.genset_str(J), "is_bp": rep.is_bp,
              "u": str(rep.u), "u_max": str(rep.parabolic_max)}
-            for J, rep in rows]})
+            for J, rep in rows]}
     lines = ["J\tis_bp\tu\tu_max"]
     for J, rep in rows:
         flag = "yes" if rep.is_bp else "no"
@@ -339,10 +333,9 @@ def _cmd_hasse(system, args, fmt):
         return hasse_dot(w, J)
     g = hasse_graph(w, J)
     if fmt == "json":
-        return _json_out({"command": "hasse", "w": str(w),
-                          "J": system.genset_str(J) if J is not None else None,
-                          "nodes": [{"w": str(y), "color": g.colors.get(y)} for y in g.interval],
-                          "edges": [[str(c), str(y)] for c, y in g.edges]})
+        return {"w": str(w), "J": system.genset_str(J) if J is not None else None,
+                "nodes": [{"w": str(y), "color": g.colors.get(y)} for y in g.interval],
+                "edges": [[str(c), str(y)] for c, y in g.edges]}
     return "\n".join(f"{c} -- {y}" for c, y in g.edges)
 
 
@@ -350,102 +343,55 @@ def _cmd_verify(system, args, fmt):
     for flag, value in (("--max-len", args.max_len), ("--samples", args.samples)):
         if value < 0:
             raise _Usage(f"{flag}: must be nonnegative, got {value}")
-    rng = random.Random(args.seed)
-    max_len = min(args.max_len, system.length_cap)
-    failures: list[str] = []
-    lines: list[str] = []
-
-    words: list[tuple[int, ...]] = []
-    total = sum(system.rank ** k for k in range(max_len + 1))
-    if total <= 20000:
-        for k in range(max_len + 1):
-            words.extend(itertools.product(range(system.rank), repeat=k))
-    else:
-        words = [tuple(rng.randrange(system.rank) for _ in range(rng.randint(0, max_len)))
-                 for _ in range(args.samples)]
-    bad = 0
-    for word in words:
-        if not oracle.braid_equal(system, word, system.normalize(word).word):
-            bad += 1
-    pairs = 0
-    for _ in range(min(args.samples, len(words) ** 2)):
-        w1, w2 = rng.choice(words), rng.choice(words)
-        pairs += 1
-        if (system.normalize(w1) == system.normalize(w2)) != oracle.braid_equal(system, w1, w2):
-            bad += 1
-    _report(lines, failures, "words", bad, f"{len(words)} words, {pairs} pairs")
-
-    elems = system.elements(min(max_len, system.interval_cap))
-    if len(elems) > 400:
-        elems = rng.sample(elems, 400)
-    bad = sum(1 for w in elems
-              if lower_interval(w).members != oracle.brute_interval(w))
-    _report(lines, failures, "intervals", bad, f"{len(elems)} elements")
-
-    bad = 0
-    triples = 0
-    subsets = [frozenset(J) for size in range(system.rank + 1)
-               for J in itertools.combinations(range(system.rank), size)]
-    for w in elems:
-        for J in subsets if len(subsets) <= 16 else rng.sample(subsets, 16):
-            for x in min_reps_in_order(w, J):
-                triples += 1
-                res = max_in_coset(w, x, J)
-                if oracle.brute_coset_max(w, x, J) != res.maximum:
-                    bad += 1
-                if oracle.coset_max_candidates(w, x, J) != frozenset((res.maximum,)):
-                    bad += 1
-    _report(lines, failures, "coset-maxima", bad, f"{triples} triples")
-
-    bad = 0
-    count = 0
-    for _ in range(args.samples):
-        w, u = rng.choice(elems), rng.choice(elems)
-        if w.length + u.length <= system.interval_cap:
-            count += 1
-            if not oracle.verify_interval_product(w, u):
-                bad += 1
-    _report(lines, failures, "interval-product", bad, f"{count} pairs")
-
+    records = oracle.verify(system, max_len=args.max_len, samples=args.samples, seed=args.seed)
+    lines = [f"{name}: FAIL ({bad} mismatches; {coverage})" if bad else f"{name}: ok ({coverage})"
+             for name, bad, coverage in records]
+    ok = not any(bad for _, bad, _ in records)
+    code = 0 if ok else 1
     if fmt == "json":
-        return _json_out({"command": "verify", "ok": not failures, "report": lines}), \
-            (1 if failures else 0)
-    return "\n".join(lines), (1 if failures else 0)
+        return {"ok": ok, "report": lines}, code
+    return "\n".join(lines), code
 
 
-def _report(lines, failures, name, bad, detail):
-    if bad:
-        lines.append(f"{name}: FAIL ({bad} mismatches; {detail})")
-        failures.append(name)
-    else:
-        lines.append(f"{name}: ok ({detail})")
+# -- the command table ---------------------------------------------------
 
+_W = (("--w", {"help": "word, e.g. 's1 s2 s1' ('e' for the identity)"}),
+      ("--perm", {"help": "type A only: one-line permutation, e.g. 4231"}))
+_REQUIRED = {"required": True}
+_WJ = (*_W, ("--J", _REQUIRED))
+_WXJK = (*_W, ("--x", _REQUIRED), ("--J", _REQUIRED), ("--K", _REQUIRED))
 
-_HANDLERS = {
-    "len": _cmd_len,
-    "leq": _cmd_leq,
-    "interval": _cmd_interval,
-    "covers": _cmd_covers,
-    "poincare": _cmd_poincare,
-    "poincare-rel": _cmd_poincare_rel,
-    "decompose": _cmd_decompose,
-    "coset-rep": _cmd_coset_rep,
-    "max-coset": _cmd_max_coset,
-    "mj-table": _cmd_mj_table,
-    "max-set": _cmd_max_set,
-    "rel-max": _cmd_rel_max,
-    "fiber": _cmd_rel_max,
-    "bp": _cmd_bp,
-    "poincare-decomp": _cmd_poincare_decomp,
-    "bp-scan": _cmd_bp_scan,
-    "hasse": _cmd_hasse,
-    "verify": _cmd_verify,
-}
-
-
-def _add_w(p):
-    p.add_argument("--w", help="word, e.g. 's1 s2 s1' ('e' for the identity)")
-    p.add_argument("--perm", help="type A only: one-line permutation, e.g. 4231")
+#: One row per subcommand: name, handler, help text, and its arguments in
+#: help order as (flag, add_argument keywords) pairs.
+_COMMANDS = (
+    ("len", _cmd_len, "length of w", _W),
+    ("leq", _cmd_leq, "Bruhat comparison u <= w", (("--u", _REQUIRED), *_W)),
+    ("interval", _cmd_interval, "the lower interval [e, w]", _W),
+    ("covers", _cmd_covers, "elements covered by w", _W),
+    ("poincare", _cmd_poincare, "Poincare polynomial of [e, w]", _W),
+    ("poincare-rel", _cmd_poincare_rel,
+     "Poincare polynomial of the J-minimal part of [e, w]", _WJ),
+    ("decompose", _cmd_decompose, "parabolic factorisation of w",
+     (*_WJ, ("--side", {"choices": ("right", "left"), "default": "right"}))),
+    ("coset-rep", _cmd_coset_rep, "minimal representative of w W_J", _WJ),
+    ("max-coset", _cmd_max_coset, "maximum of [e, w] meet x W_J",
+     (*_W, ("--x", _REQUIRED), ("--J", _REQUIRED),
+      ("--trace", {"action": "store_true", "help": "include the recursion trace"}))),
+    ("mj-table", _cmd_mj_table, "table x -> m of shifts over all x <= w in W^J", _WJ),
+    ("max-set", _cmd_max_set, "set of shifts over all x <= w in W^J", _WJ),
+    ("rel-max", _cmd_rel_max,
+     "maximum of [e, w]^J meet x(W^J meet W_K), J inside K", _WXJK),
+    ("fiber", _cmd_rel_max, "fiber index over a chain J inside K (alias of rel-max)", _WXJK),
+    ("bp", _cmd_bp, "Billey-Postnikov test for (w, J)", _WJ),
+    ("poincare-decomp", _cmd_poincare_decomp, "Poincare polynomial split along cosets",
+     (*_WJ, ("--K", {"help": "relative mode: decompose P^J_w along K-cosets"}))),
+    ("bp-scan", _cmd_bp_scan, "Billey-Postnikov test for every J", _W),
+    ("hasse", _cmd_hasse, "Hasse diagram of [e, w] (DOT by default)",
+     (*_W, ("--J", {"help": "colour nodes by their W_J coset"}))),
+    ("verify", _cmd_verify, "cross-check fast paths against brute-force oracles",
+     (("--max-len", {"type": int, "default": 6}), ("--samples", {"type": int, "default": 200}),
+      ("--seed", {"type": int, "default": 0}))),
+)
 
 
 @functools.cache
@@ -463,65 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--interval-cap", type=int,
                         help="maximum length(w) for interval enumeration (default 24)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("len", help="length of w")
-    _add_w(p)
-    p = sub.add_parser("leq", help="Bruhat comparison u <= w")
-    p.add_argument("--u", required=True)
-    _add_w(p)
-    p = sub.add_parser("interval", help="the lower interval [e, w]")
-    _add_w(p)
-    p = sub.add_parser("covers", help="elements covered by w")
-    _add_w(p)
-    p = sub.add_parser("poincare", help="Poincare polynomial of [e, w]")
-    _add_w(p)
-    p = sub.add_parser("poincare-rel", help="Poincare polynomial of the J-minimal part of [e, w]")
-    _add_w(p)
-    p.add_argument("--J", required=True)
-    p = sub.add_parser("decompose", help="parabolic factorisation of w")
-    _add_w(p)
-    p.add_argument("--J", required=True)
-    p.add_argument("--side", choices=("right", "left"), default="right")
-    p = sub.add_parser("coset-rep", help="minimal representative of w W_J")
-    _add_w(p)
-    p.add_argument("--J", required=True)
-    p = sub.add_parser("max-coset", help="maximum of [e, w] meet x W_J")
-    _add_w(p)
-    p.add_argument("--x", required=True)
-    p.add_argument("--J", required=True)
-    p.add_argument("--trace", action="store_true", help="include the recursion trace")
-    p = sub.add_parser("mj-table", help="table x -> m of shifts over all x <= w in W^J")
-    _add_w(p)
-    p.add_argument("--J", required=True)
-    p = sub.add_parser("max-set", help="set of shifts over all x <= w in W^J")
-    _add_w(p)
-    p.add_argument("--J", required=True)
-    for name, help_text in (
-        ("rel-max", "maximum of [e, w]^J meet x(W^J meet W_K), J inside K"),
-        ("fiber", "fiber index over a chain J inside K (alias of rel-max)"),
-    ):
+    for name, handler, help_text, arguments in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        _add_w(p)
-        p.add_argument("--x", required=True)
-        p.add_argument("--J", required=True)
-        p.add_argument("--K", required=True)
-    p = sub.add_parser("bp", help="Billey-Postnikov test for (w, J)")
-    _add_w(p)
-    p.add_argument("--J", required=True)
-    p = sub.add_parser("poincare-decomp", help="Poincare polynomial split along cosets")
-    _add_w(p)
-    p.add_argument("--J", required=True)
-    p.add_argument("--K", help="relative mode: decompose P^J_w along K-cosets")
-    p = sub.add_parser("bp-scan", help="Billey-Postnikov test for every J")
-    _add_w(p)
-    p = sub.add_parser("hasse", help="Hasse diagram of [e, w] (DOT by default)")
-    _add_w(p)
-    p.add_argument("--J", help="colour nodes by their W_J coset")
-    p = sub.add_parser("verify", help="cross-check fast paths against brute-force oracles")
-    p.add_argument("--max-len", type=int, default=6)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -530,13 +422,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         system = _build_system(args)
-        fmt = args.format or ("dot" if args.command == "hasse" else "text")
-        if fmt == "dot" and args.command != "hasse":
+        fmt = args.format or ("dot" if args.handler is _cmd_hasse else "text")
+        if fmt == "dot" and args.handler is not _cmd_hasse:
             raise _Usage("--format: dot output is only available for the hasse command")
-        out = _HANDLERS[args.command](system, args, fmt)
-        text, code = out if isinstance(out, tuple) else (out, 0)
-        if text:
-            _sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        out = args.handler(system, args, fmt)
+        out, code = out if isinstance(out, tuple) else (out, 0)
+        if isinstance(out, dict):
+            out = json.dumps({"command": args.command, **out}, indent=2, sort_keys=True)
+        if out:
+            _sys.stdout.write(out if out.endswith("\n") else out + "\n")
         return code
     except _Usage as exc:
         print(f"error: {exc}", file=_sys.stderr)

@@ -173,7 +173,7 @@ class CoxeterSystem:
         Longest element the system will construct (default 64).
     interval_cap:
         Largest ``length(w)`` accepted by lower-interval enumeration
-        (default 24).
+        (default 24).  Both caps are ``int`` values (not ``bool``).
     """
 
     def __init__(
@@ -221,6 +221,9 @@ class CoxeterSystem:
         self.names = names
         self._index = {x: i for i, x in enumerate(names)}
 
+        for cap, value in (("length_cap", length_cap), ("interval_cap", interval_cap)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidMatrix(f"{cap} must be an integer, got {value!r}")
         if length_cap < 1:
             raise InvalidMatrix("length_cap must be positive")
         if interval_cap < 0:

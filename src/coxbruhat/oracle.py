@@ -6,7 +6,8 @@ of enumerating subwords of one word; the coset-maximum oracle filters the
 interval and scans for maxima instead of recursing; word equality is decided
 by bounded braid-move/deletion rewriting instead of the geometric
 representation.  :func:`coset_max_candidates` instead reruns the fast
-recursion under every choice it could make.
+recursion under every choice it could make.  :func:`verify` runs the fast
+paths against these oracles and counts the disagreements.
 
 The memo tables live in each system's instance dictionary: their keys and
 values hold elements, which hold their system, so a table kept elsewhere
@@ -15,13 +16,15 @@ would keep every system alive.
 
 from __future__ import annotations
 
+import itertools
+import random
 from typing import Iterable
 
 from .bruhat import leq, lower_interval
 from .core import CoxeterSystem, Element, Word, demazure
-from .coset_max import _stabilizers, _validate, max_in_parabolic
+from .coset_max import _stabilizers, _validate, max_in_coset, max_in_parabolic
 from .errors import EmptyIntersection, IntervalTooLarge, NotUnique, SearchBudgetExceeded
-from .parabolic import check_min_rep, decompose
+from .parabolic import check_min_rep, decompose, min_reps_in_order
 
 
 def all_reduced_words(w: Element) -> tuple[Word, ...]:
@@ -210,3 +213,74 @@ def verify_interval_product(w: Element, u: Element) -> bool:
         for b in lower_interval(u).members
     }
     return products == lower_interval(star).members
+
+
+def verify(
+    sys: CoxeterSystem, *, max_len: int, samples: int, seed: int
+) -> list[tuple[str, int, str]]:
+    """Cross-check the fast paths against the oracles above.
+
+    Returns one ``(name, mismatches, coverage)`` record per check, in the
+    order ``words`` (canonical words against braid rewriting),
+    ``intervals``, ``coset-maxima`` and ``interval-product``; ``coverage``
+    says what was checked, e.g. ``"24 elements"``.  Words up to ``max_len``
+    (capped at the length cap) are checked exhaustively while there are at
+    most 20000 of them and sampled otherwise; every sample is drawn from
+    ``random.Random(seed)``, so equal arguments give equal records.
+    """
+    if max_len < 0 or samples < 0:
+        raise ValueError(f"max_len and samples must be nonnegative, got {max_len} and {samples}")
+    rng = random.Random(seed)
+    max_len = min(max_len, sys.length_cap)
+    records = []
+
+    words: list[Word] = []
+    total = sum(sys.rank ** k for k in range(max_len + 1))
+    if total <= 20000:
+        for k in range(max_len + 1):
+            words.extend(itertools.product(range(sys.rank), repeat=k))
+    else:
+        words = [tuple(rng.randrange(sys.rank) for _ in range(rng.randint(0, max_len)))
+                 for _ in range(samples)]
+    bad = 0
+    for word in words:
+        if not braid_equal(sys, word, sys.normalize(word).word):
+            bad += 1
+    pairs = min(samples, len(words) ** 2)
+    for _ in range(pairs):
+        w1, w2 = rng.choice(words), rng.choice(words)
+        if (sys.normalize(w1) is sys.normalize(w2)) != braid_equal(sys, w1, w2):
+            bad += 1
+    records.append(("words", bad, f"{len(words)} words, {pairs} pairs"))
+
+    elems = sys.elements(min(max_len, sys.interval_cap))
+    if len(elems) > 400:
+        elems = rng.sample(elems, 400)
+    bad = sum(1 for w in elems if lower_interval(w).members != brute_interval(w))
+    records.append(("intervals", bad, f"{len(elems)} elements"))
+
+    bad = 0
+    triples = 0
+    subsets = [frozenset(J) for size in range(sys.rank + 1)
+               for J in itertools.combinations(range(sys.rank), size)]
+    for w in elems:
+        for J in subsets if len(subsets) <= 16 else rng.sample(subsets, 16):
+            for x in min_reps_in_order(w, J):
+                triples += 1
+                res = max_in_coset(w, x, J)
+                if brute_coset_max(w, x, J) is not res.maximum:
+                    bad += 1
+                if coset_max_candidates(w, x, J) != frozenset((res.maximum,)):
+                    bad += 1
+    records.append(("coset-maxima", bad, f"{triples} triples"))
+
+    bad = 0
+    count = 0
+    for _ in range(samples):
+        w, u = rng.choice(elems), rng.choice(elems)
+        if w.length + u.length <= sys.interval_cap:
+            count += 1
+            if not verify_interval_product(w, u):
+                bad += 1
+    records.append(("interval-product", bad, f"{count} pairs"))
+    return records

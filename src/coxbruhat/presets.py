@@ -108,6 +108,10 @@ def load_matrix_file(path: str, **kwargs) -> CoxeterSystem:
     if not isinstance(data, dict) or "m" not in data:
         raise InvalidMatrix(f"matrix file {path} must be an object with an 'm' entry")
     names = data.get("generators")
+    if "generators" in data and not (
+        isinstance(names, list) and all(isinstance(x, str) for x in names)
+    ):
+        raise InvalidMatrix(f"matrix file {path}: 'generators' must be a list of strings")
     matrix = data["m"]
     if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
         raise InvalidMatrix(f"matrix file {path}: 'm' must be a list of rows")

@@ -110,3 +110,14 @@ def test_interval_cap():
 def test_interval_caching(a3):
     w = a3.element("s1 s2 s3")
     assert lower_interval(w) is lower_interval(w)
+
+
+@pytest.mark.parametrize("kind, max_len", [("B3", None), ("H3", None), ("I2:7", None), ("A~2", 6)])
+def test_leq_matches_brute_interval(kind, max_len):
+    # brute_interval closes under letter deletions; it shares no code with leq
+    system = coxeter_system(kind)
+    elems = system.elements(max_len)
+    for w in elems:
+        below = brute_interval(w)
+        for u in elems:
+            assert leq(u, w) == (u in below), (str(u), str(w))

@@ -1,4 +1,4 @@
-"""Malformed matrices, unparsable generator names and negative verify counts."""
+"""Malformed matrices and caps, bad generator names and negative verify counts."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from coxbruhat import CoxeterSystem, InvalidMatrix
+from coxbruhat import CoxeterSystem, InvalidMatrix, load_matrix_file
 from coxbruhat.cli import main
 
 BAD_ENTRIES = (
@@ -57,3 +57,24 @@ def test_verify_rejects_negative_counts(capsys, flags):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flags[0]}: ")
+
+
+@pytest.mark.parametrize("caps", [{"length_cap": True}, {"interval_cap": 2.5},
+                                  {"length_cap": "9"}])
+def test_non_integer_caps_rejected(caps):
+    (name, value), = caps.items()
+    with pytest.raises(InvalidMatrix, match=rf"{name} must be an integer, got {value!r}"):
+        CoxeterSystem([[1, 3], [3, 1]], **caps)
+
+
+@pytest.mark.parametrize("generators", ["ab", {"a": 1, "b": 2}, ["a", 2], None])
+def test_matrix_file_generators_must_be_strings(tmp_path, capsys, generators):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"generators": generators, "m": [[1, 3], [3, 1]]}),
+                    encoding="utf-8")
+    with pytest.raises(InvalidMatrix, match=re.escape(f"matrix file {path}: 'generators'")):
+        load_matrix_file(str(path))
+    code = main(["--matrix", str(path), "len", "--w", "a b a"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith(f"InvalidMatrix: matrix file {path}: 'generators'")
