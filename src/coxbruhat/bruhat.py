@@ -5,9 +5,9 @@ descent s of w; if s is also a left descent of u compare (su, sw), else
 compare (u, sw).  Lower intervals use the subword characterisation -- the
 interval below w is exactly the set of elements of subwords of one reduced
 word of w -- computed as a left-to-right closure so equal subwords are
-merged early.  Both are memoised per system.  Covers come from one reduced
-word alone (its one-letter deletions that stay reduced), so the interval cap
-does not limit them.
+merged early.  Both are memoised per system.  Covers are lifted one descent
+at a time (Björner-Brenti, Prop. 2.2.7): along the prefixes of one reduced
+word, so the interval cap does not limit them, or along the interval's ranks.
 """
 
 from __future__ import annotations
@@ -106,12 +106,22 @@ def lower_interval(w: Element, *, cap: int | None = None) -> Interval:
     return itv
 
 
+def _lift_covers(y: Element, s: int, down) -> list[Element]:
+    """The covers of y from ``down``, the covers of ys, for s a right descent
+    of y: ys and each us with u in ``down`` and us > u (lifting property)."""
+    mul = y.system._mul_gen
+    return [mul(y, s)] + [mul(u, s) for u in down if s not in u.right_descents]
+
+
 def covers(w: Element) -> frozenset[Element]:
-    """Elements u <= w of length length(w) - 1: by the subword property and
-    strong exchange, the one-letter deletions of w's word that stay reduced."""
-    sys, word = w.system, w.word
-    deletions = (sys.normalize(word[:i] + word[i + 1:]) for i in range(len(word)))
-    return frozenset(u for u in deletions if u.length == len(word) - 1)
+    """Elements u <= w of length length(w) - 1, lifted one descent at a time
+    along the prefixes of w's word (Björner-Brenti, Prop. 2.2.7)."""
+    sys = w.system
+    y, down = sys.identity, []
+    for s in w.word:
+        y = sys._mul_gen(y, s)
+        down = _lift_covers(y, s, down)
+    return frozenset(down)
 
 
 def poincare(w: Element) -> IntPolynomial:

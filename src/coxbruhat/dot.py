@@ -6,9 +6,8 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable
 
-from .bruhat import Interval, covers, lower_interval
+from .bruhat import Interval, _lift_covers, lower_interval
 from .core import Element
-from .parabolic import coset_rep
 
 #: Node colours cycle over the coset representatives in ShortLex order.
 COLORS = ("black", "red", "blue", "green")
@@ -25,31 +24,39 @@ class HasseGraph:
 
 def hasse_graph(w: Element, J: Iterable[int] | None = None) -> HasseGraph:
     """The Hasse graph of [e, w], the one source of both DOT and CLI output."""
+    sys = w.system
     itv = lower_interval(w)
     colors: dict[Element, str] = {}
     if J is not None:
-        J = frozenset(J)
-        rep = {y: coset_rep(y, J) for y in itv}
+        J = sys.check_genset(J)
+        rep: dict[Element, Element] = {}
+        for y in itv:  # by rank, so y*t is placed before y for t = min(D_R(y) & J)
+            ds = y.right_descents & J
+            rep[y] = rep[sys._mul_gen(y, min(ds))] if ds else y
         # Each representative is the first member of its coset in ShortLex order.
         index = {x: i for i, x in enumerate(dict.fromkeys(rep.values()))}
         colors = {y: COLORS[index[x] % len(COLORS)] for y, x in rep.items()}
+    down: dict[Element, list[Element]] = {sys.identity: []}
+    for y in list(itv)[1:]:  # by rank, so y's prefix y*s is placed before y
+        down[y] = _lift_covers(y, y.word[-1], down[sys._mul_gen(y, y.word[-1])])
     # Covers of y share one length, so sorting by word is ShortLex.
-    edges = tuple((c, y) for y in itv for c in sorted(covers(y), key=attrgetter("word")))
+    edges = tuple((c, y) for y, cs in down.items() for c in sorted(cs, key=attrgetter("word")))
     return HasseGraph(interval=itv, colors=colors, edges=edges)
 
 
 def hasse_dot(w: Element, J: Iterable[int] | None = None) -> str:
     """DOT text for the Hasse diagram of [e, w], coloured by coset when J is given."""
     g = hasse_graph(w, J)
+    name = {y: f'"{y}"' for y in g.interval}  # each quoted name rendered once
     lines = ["graph bruhat_interval {", "  rankdir=BT;", "  node [shape=plaintext];"]
-    for y in g.interval:
+    for y, q in name.items():
         attr = f' [fontcolor={g.colors[y]}]' if g.colors else ""
-        lines.append(f'  "{y}"{attr};')
+        lines.append(f"  {q}{attr};")
     for row in g.interval.ranks:
         if len(row) > 1:
-            names = " ".join(f'"{y}";' for y in row)
+            names = " ".join(name[y] + ";" for y in row)
             lines.append(f"  {{ rank=same; {names} }}")
     for c, y in g.edges:
-        lines.append(f'  "{c}" -- "{y}";')
+        lines.append(f"  {name[c]} -- {name[y]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,6 +1,9 @@
-"""Covers from one reduced word, against the brute-force interval oracle."""
+"""Covers lifted along one reduced word, against the brute-force interval
+oracle and, past the interval cap, against one-letter deletions."""
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -16,6 +19,22 @@ def _brute_covers(w):
     return frozenset(y for y in brute_interval(w) if y.length == w.length - 1)
 
 
+def _deletion_covers(w):
+    """By the subword property and strong exchange, the covers of w are the
+    one-letter deletions of one reduced word of w that stay reduced."""
+    system, word = w.system, w.word
+    deletions = (system.normalize(word[:i] + word[i + 1:]) for i in range(len(word)))
+    return frozenset(u for u in deletions if u.length == len(word) - 1)
+
+
+def _random_reduced(system, length, rng):
+    """An element of the given length, grown one ascent at a time."""
+    w = system.identity
+    while w.length < length:
+        w = w * system.generator(rng.choice(sorted(set(range(system.rank)) - w.right_descents)))
+    return w
+
+
 @pytest.mark.parametrize("kind, max_length", [
     ("A4", None), ("B3", None), ("H3", None), ("I2:7", 8), ("A~2", 8),
 ])
@@ -23,6 +42,18 @@ def test_covers_match_brute_interval(kind, max_length):
     system = coxeter_system(kind)
     for w in system.elements(max_length):
         assert covers(w) == _brute_covers(w), f"{kind}: covers of {w}"
+
+
+@pytest.mark.parametrize("kind, lengths", [
+    ("A~2", (40, 52, 64)), ("A~3", (40, 52, 64)), ("A~4", (40, 52, 64)), ("H4", (40, 50, 60)),
+])
+def test_covers_match_deletions_past_interval_cap(kind, lengths):
+    system = coxeter_system(kind)
+    rng = random.Random(kind)
+    for length in lengths:
+        w = _random_reduced(system, length, rng)
+        assert w.length == length > system.interval_cap
+        assert covers(w) == _deletion_covers(w), f"{kind}: covers of {w}"
 
 
 def test_covers_past_interval_cap(aff2):

@@ -1,4 +1,4 @@
-"""Malformed matrices and caps, bad generator names and negative verify counts."""
+"""Malformed matrices and caps, bad generator names, bad J and negative verify counts."""
 
 from __future__ import annotations
 
@@ -7,8 +7,9 @@ import re
 
 import pytest
 
-from coxbruhat import CoxeterSystem, InvalidMatrix, load_matrix_file
+from coxbruhat import CoxeterSystem, InvalidMatrix, hasse_dot, load_matrix_file
 from coxbruhat.cli import main
+from coxbruhat.dot import hasse_graph
 
 BAD_ENTRIES = (
     ([[1, 3.9], [3.9, 1]], "m(0,1)"),
@@ -78,3 +79,18 @@ def test_matrix_file_generators_must_be_strings(tmp_path, capsys, generators):
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
     assert captured.err.startswith(f"InvalidMatrix: matrix file {path}: 'generators'")
+
+
+@pytest.mark.parametrize("export", [hasse_graph, hasse_dot])
+@pytest.mark.parametrize("J", [[99], [True], ["a"]])
+def test_hasse_rejects_bad_J(b3, export, J):
+    with pytest.raises(ValueError, match="generator index"):
+        export(b3.element("s1 s2"), J)
+
+
+def test_cli_hasse_rejects_unknown_J(capsys):
+    code = main(["--type", "B3", "hasse", "--w", "s1 s2", "--J", "s9"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --J: unknown generator 's9'\n"
