@@ -332,11 +332,12 @@ def _cmd_hasse(system, args, fmt):
     if fmt == "dot":
         return hasse_dot(w, J)
     g = hasse_graph(w, J)
+    name = {y: str(y) for y in g.interval}  # each name rendered once
     if fmt == "json":
-        return {"w": str(w), "J": system.genset_str(J) if J is not None else None,
-                "nodes": [{"w": str(y), "color": g.colors.get(y)} for y in g.interval],
-                "edges": [[str(c), str(y)] for c, y in g.edges]}
-    return "\n".join(f"{c} -- {y}" for c, y in g.edges)
+        return {"w": name[w], "J": system.genset_str(J) if J is not None else None,
+                "nodes": [{"w": n, "color": g.colors.get(y)} for y, n in name.items()],
+                "edges": [[name[c], name[y]] for c, y in g.edges]}
+    return "\n".join(f"{name[c]} -- {name[y]}" for c, y in g.edges)
 
 
 def _cmd_verify(system, args, fmt):

@@ -16,13 +16,14 @@ of x:
 
 The chosen s is the smallest left descent of v, but the result is
 independent of the choice; :func:`.oracle.coset_max_candidates` explores
-every choice and is used for verification.  Results carry the per-level
-trace and are memoised per system.
+every choice and is used for verification.  Results are memoised per
+system; each rebuilds its per-level trace through memo hits on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .bruhat import leq
@@ -59,8 +60,18 @@ class CosetMaxResult:
     J: GenSet
     maximum: Element
     shift: Element
-    trace: tuple[TraceStep, ...]
     K: GenSet | None = None
+
+    @cached_property
+    def trace(self) -> tuple[TraceStep, ...]:
+        """One step per level of the recursion, from x down to x = e."""
+        w, x, J = self.w, self.x, self.K or self.J
+        steps = []
+        while x.length:
+            step = _level(w, x, J)
+            steps.append(step)
+            w, x = step.v, x.system._lmul_gen(step.s, x)
+        return tuple(steps)
 
 
 @dataclass(frozen=True)
@@ -108,51 +119,39 @@ def _max_in_coset(w: Element, x: Element, J: GenSet) -> CosetMaxResult:
     if hit is not None:
         return hit
 
-    if x.length == 0:
-        q = max_in_parabolic(w, J)
-        trace: tuple[TraceStep, ...] = ()
-    else:
-        dl = x.left_descents
-        outside = frozenset(range(sys.rank)) - dl
-        d = decompose(w, outside, "left")
-        u, v = d.u, d.v
-        stab = _stabilizers(x, J)
-        if not v.left_descents:
-            raise InternalAssertionFailed("suffix of the split has no left descent")
-        s = min(v.left_descents)
-        prefix_max = max_in_parabolic(u, stab)
-        sx = sys._lmul_gen(s, x)
-        if sx.right_descents & J:
-            raise InternalAssertionFailed("s*x left the minimal representatives")
-        if not leq(sx, v):
-            raise InternalAssertionFailed("s*x is not below the suffix of the split")
-        inner = _max_in_coset(v, sx, J)
-        sq = sys._lmul_gen(s, inner.maximum)
-        if sq.length <= inner.maximum.length:
-            raise InternalAssertionFailed("s shortened the recursive maximum")
-        q = demazure(prefix_max, sq)
-        step = TraceStep(
-            x=x,
-            left_descents=dl,
-            u=u,
-            v=v,
-            coset_stabilizers=stab,
-            s=s,
-            prefix_max=prefix_max,
-            suffix_max=inner.maximum,
-            maximum=q,
-        )
-        trace = (step,) + inner.trace
-
+    q = max_in_parabolic(w, J) if x.length == 0 else _level(w, x, J).maximum
     d = decompose(q, J)  # q = x * d.u exactly when q lies in x W_J
     if not leq(q, w) or d.v is not x:
         raise InternalAssertionFailed("computed maximum is not in [e,w] meet xW_J")
     shift = d.u
     if not (shift.support <= J) or q.length != x.length + shift.length:
         raise InternalAssertionFailed("shift is not a length-additive W_J factor")
-    res = CosetMaxResult(w=w, x=x, J=J, maximum=q, shift=shift, trace=trace)
+    res = CosetMaxResult(w=w, x=x, J=J, maximum=q, shift=shift)
     sys._cosetmax_cache[key] = res
     return res
+
+
+def _level(w: Element, x: Element, J: GenSet) -> TraceStep:
+    """One level of the recursion for x != e; the inner maximum comes from the memo."""
+    sys = w.system
+    dl = x.left_descents
+    d = decompose(w, frozenset(range(sys.rank)) - dl, "left")  # w = d.u * d.v
+    stab = _stabilizers(x, J)
+    if not d.v.left_descents:
+        raise InternalAssertionFailed("suffix of the split has no left descent")
+    s = min(d.v.left_descents)
+    prefix_max = max_in_parabolic(d.u, stab)
+    sx = sys._lmul_gen(s, x)
+    if sx.right_descents & J:
+        raise InternalAssertionFailed("s*x left the minimal representatives")
+    if not leq(sx, d.v):
+        raise InternalAssertionFailed("s*x is not below the suffix of the split")
+    suffix_max = _max_in_coset(d.v, sx, J).maximum
+    sq = sys._lmul_gen(s, suffix_max)
+    if sq.length <= suffix_max.length:
+        raise InternalAssertionFailed("s shortened the recursive maximum")
+    return TraceStep(x=x, left_descents=dl, u=d.u, v=d.v, coset_stabilizers=stab, s=s,
+                     prefix_max=prefix_max, suffix_max=suffix_max, maximum=demazure(prefix_max, sq))
 
 
 def coset_shift(w: Element, x: Element, J: Iterable[int]) -> Element:
@@ -185,7 +184,7 @@ def max_in_relative_coset(
         raise InternalAssertionFailed("relative shift is not in W^J meet W_K")
     if q.length != x.length + shift.length or not leq(q, w) or (q.right_descents & J):
         raise InternalAssertionFailed("relative maximum is not a J-minimal element of [e,w]")
-    return CosetMaxResult(w=w, x=x, J=J, maximum=q, shift=shift, trace=inner.trace, K=K)
+    return CosetMaxResult(w=w, x=x, J=J, maximum=q, shift=shift, K=K)
 
 
 def relative_shift(w: Element, x: Element, J: Iterable[int], K: Iterable[int]) -> Element:

@@ -78,7 +78,7 @@ def brute_interval(w: Element, *, cap: int | None = None) -> frozenset[Element]:
 
 
 def brute_coset_max(w: Element, x: Element, J: Iterable[int]) -> Element:
-    """Unique maximum of [e, w] meet x W_J by filtering and scanning.
+    """Unique maximum of [e, w] meet x W_J, scanning in descending ShortLex order.
 
     Raises NotUnique if several maximal elements show up (which would
     falsify the theorem the fast path relies on) and EmptyIntersection if x
@@ -87,7 +87,7 @@ def brute_coset_max(w: Element, x: Element, J: Iterable[int]) -> Element:
     w.system._check_mine(x)
     J = check_min_rep(x, J)
     xinv = x.inverse()
-    members = [y for y in brute_interval(w) if (xinv * y).support <= J]
+    members = [y for y in sorted(brute_interval(w), reverse=True) if (xinv * y).support <= J]
     if not members:
         raise EmptyIntersection(f"[e,{w}] meet {x}W_J is empty")
     maxima = [y for y in members if not any(y is not z and leq(y, z) for z in members)]

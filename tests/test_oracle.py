@@ -10,8 +10,10 @@ from coxbruhat import (
     EmptyIntersection,
     NotMinimalRep,
     SearchBudgetExceeded,
+    coxeter_system,
     demazure,
     lower_interval,
+    oracle,
 )
 from coxbruhat.oracle import (
     all_reduced_words,
@@ -107,3 +109,21 @@ def test_verify_interval_product(a3):
 def test_brute_interval_matches_engine_on_b3(b3):
     for w in b3.elements(5):
         assert brute_interval(w) == lower_interval(w).members
+
+
+def test_verify_makes_the_same_leq_calls_on_every_fresh_system(monkeypatch):
+    # brute_coset_max scans in ShortLex order, not in the address order of a
+    # set, so how soon its scans stop does not depend on where elements live.
+    calls = []
+    real_leq = oracle.leq
+
+    def counting_leq(u, w):
+        calls[-1] += 1
+        return real_leq(u, w)
+
+    monkeypatch.setattr(oracle, "leq", counting_leq)
+    for _ in range(4):
+        calls.append(0)
+        oracle.verify(coxeter_system("A3"), max_len=3, samples=10, seed=0)
+    assert calls[0] > 0
+    assert calls == calls[:1] * 4
