@@ -248,6 +248,9 @@ class CoxeterSystem:
         self._leq_cache: dict[tuple[Element, Element], bool] = {}
         self._interval_cache: dict[Element, object] = {}
         self._cosetmax_cache: dict[tuple[Element, Element, GenSet], object] = {}
+        self._stab_cache: dict[tuple[Element, GenSet], GenSet] = {}
+        self._stab_pool: dict[GenSet, GenSet] = {}  # one shared object per stabiliser set
+        self._all_gens: GenSet = frozenset(range(n))
 
         self.identity = self._intern(())
         self._gens = tuple(self._intern((i,)) for i in range(n))
@@ -271,6 +274,11 @@ class CoxeterSystem:
             if not (s.__class__ is int and 0 <= s < self.rank or _is_index(s, self.rank)):
                 raise ValueError(f"generator index {s!r} out of range for rank {self.rank}")
         return J
+
+    def clear_caches(self) -> None:
+        """Drop the leq, interval, coset-maximum and stabiliser memos; elements stay interned."""
+        for memo in (self._leq_cache, self._interval_cache, self._cosetmax_cache, self._stab_cache):
+            memo.clear()
 
     def gen_index(self, name: str) -> int:
         try:

@@ -16,8 +16,9 @@ of x:
 
 The chosen s is the smallest left descent of v, but the result is
 independent of the choice; :func:`.oracle.coset_max_candidates` explores
-every choice and is used for verification.  Results are memoised per
-system; each rebuilds its per-level trace through memo hits on first read.
+every choice and is used for verification.  Results, and the coset
+stabilizers of each (x, J), are memoised per system; a result rebuilds its
+per-level trace through memo hits on first read.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .bruhat import leq
-from .core import Element, GenSet, demazure, demazure_word
+from .core import Element, GenSet, demazure
 from .errors import EmptyIntersection, InternalAssertionFailed
-from .parabolic import check_chain, check_min_rep, coset_rep, decompose, min_reps_in_order
+from .parabolic import _split, check_chain, check_min_rep, min_reps_in_order
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ class CosetMaxResult:
         w, x, J = self.w, self.x, self.K or self.J
         steps = []
         while x.length:
-            step = _level(w, x, J)
+            step = TraceStep(*_level(w, x, J))
             steps.append(step)
             w, x = step.v, x.system._lmul_gen(step.s, x)
         return tuple(steps)
@@ -86,16 +87,27 @@ class ShiftedMaxSet:
 
 def max_in_parabolic(w: Element, J: Iterable[int]) -> Element:
     """Maximum of [e, w] meet W_J: the Demazure fold of w's J-letters."""
+    return _fold(w, w.system.check_genset(J))
+
+
+def _fold(w: Element, J: GenSet) -> Element:
+    """max_in_parabolic for a checked J."""
     sys = w.system
-    J = sys.check_genset(J)
-    return demazure_word(sys, (s for s in w.word if s in J))
+    q = sys.identity
+    for s in w.word:
+        if s in J and s not in q.right_descents:
+            q = sys._mul_gen(q, s)
+    return q
 
 
 def _stabilizers(x: Element, J: GenSet) -> GenSet:
     """Generators t with t x W_J = x W_J: by Deodhar's lemma, those with t x not in W^J."""
     sys = x.system
-    return frozenset(t for t in sorted(J | x.support)
-                     if sys._lmul_gen(t, x).right_descents & J)
+    stab = sys._stab_cache.get((x, J))
+    if stab is None:
+        stab = frozenset(t for t in J | x.support if sys._lmul_gen(t, x).right_descents & J)
+        stab = sys._stab_cache[x, J] = sys._stab_pool.setdefault(stab, stab)
+    return stab
 
 
 def _validate(w: Element, x: Element, J: Iterable[int]) -> GenSet:
@@ -119,11 +131,10 @@ def _max_in_coset(w: Element, x: Element, J: GenSet) -> CosetMaxResult:
     if hit is not None:
         return hit
 
-    q = max_in_parabolic(w, J) if x.length == 0 else _level(w, x, J).maximum
-    d = decompose(q, J)  # q = x * d.u exactly when q lies in x W_J
-    if not leq(q, w) or d.v is not x:
+    q = _fold(w, J) if x.length == 0 else _level(w, x, J)[-1]
+    v, shift = _split(q, J)  # q = x * shift exactly when q lies in x W_J
+    if not leq(q, w) or v is not x:
         raise InternalAssertionFailed("computed maximum is not in [e,w] meet xW_J")
-    shift = d.u
     if not (shift.support <= J) or q.length != x.length + shift.length:
         raise InternalAssertionFailed("shift is not a length-additive W_J factor")
     res = CosetMaxResult(w=w, x=x, J=J, maximum=q, shift=shift)
@@ -131,27 +142,26 @@ def _max_in_coset(w: Element, x: Element, J: GenSet) -> CosetMaxResult:
     return res
 
 
-def _level(w: Element, x: Element, J: GenSet) -> TraceStep:
-    """One level of the recursion for x != e; the inner maximum comes from the memo."""
+def _level(w: Element, x: Element, J: GenSet) -> tuple:
+    """The fields of the TraceStep for x != e; the inner maximum comes from the memo."""
     sys = w.system
     dl = x.left_descents
-    d = decompose(w, frozenset(range(sys.rank)) - dl, "left")  # w = d.u * d.v
+    v, u = _split(w, sys._all_gens - dl, left=True)  # w = u * v
     stab = _stabilizers(x, J)
-    if not d.v.left_descents:
+    if not v.left_descents:
         raise InternalAssertionFailed("suffix of the split has no left descent")
-    s = min(d.v.left_descents)
-    prefix_max = max_in_parabolic(d.u, stab)
+    s = min(v.left_descents)
+    prefix_max = _fold(u, stab)
     sx = sys._lmul_gen(s, x)
     if sx.right_descents & J:
         raise InternalAssertionFailed("s*x left the minimal representatives")
-    if not leq(sx, d.v):
+    if not leq(sx, v):
         raise InternalAssertionFailed("s*x is not below the suffix of the split")
-    suffix_max = _max_in_coset(d.v, sx, J).maximum
+    suffix_max = _max_in_coset(v, sx, J).maximum
     sq = sys._lmul_gen(s, suffix_max)
     if sq.length <= suffix_max.length:
         raise InternalAssertionFailed("s shortened the recursive maximum")
-    return TraceStep(x=x, left_descents=dl, u=d.u, v=d.v, coset_stabilizers=stab, s=s,
-                     prefix_max=prefix_max, suffix_max=suffix_max, maximum=demazure(prefix_max, sq))
+    return x, dl, u, v, stab, s, prefix_max, suffix_max, demazure(prefix_max, sq)
 
 
 def coset_shift(w: Element, x: Element, J: Iterable[int]) -> Element:
@@ -177,8 +187,13 @@ def max_in_relative_coset(
     for (w, x, K); the shift x^-1 q lies in W^J meet W_K.
     """
     J, K = check_chain(w, J, K)
-    inner = max_in_coset(w, x, K)  # validates x in W^K and x <= w
-    q = coset_rep(inner.maximum, J)
+    return _max_in_relative_coset(w, x, J, _validate(w, x, K))
+
+
+def _max_in_relative_coset(w: Element, x: Element, J: GenSet, K: GenSet) -> CosetMaxResult:
+    """max_in_relative_coset for a checked chain J inside K and x in W^K below w."""
+    inner = _max_in_coset(w, x, K)
+    q = _split(inner.maximum, J)[0]
     shift = x.inverse() * q
     if not (shift.support <= K) or (shift.right_descents & J):
         raise InternalAssertionFailed("relative shift is not in W^J meet W_K")

@@ -6,8 +6,9 @@ of enumerating subwords of one word; the coset-maximum oracle filters the
 interval and scans for maxima instead of recursing; word equality is decided
 by bounded braid-move/deletion rewriting instead of the geometric
 representation.  :func:`coset_max_candidates` instead reruns the fast
-recursion under every choice it could make.  :func:`verify` runs the fast
-paths against these oracles and counts the disagreements.
+recursion under every choice it could make, with coset stabilisers taken
+from their definition rather than from the recursion's memo.  :func:`verify`
+runs the fast paths against these oracles and counts the disagreements.
 
 The memo tables live in each system's instance dictionary: their keys and
 values hold elements, which hold their system, so a table kept elsewhere
@@ -22,9 +23,9 @@ from typing import Iterable
 
 from .bruhat import leq, lower_interval
 from .core import CoxeterSystem, Element, Word, demazure
-from .coset_max import _stabilizers, _validate, max_in_coset, max_in_parabolic
+from .coset_max import _validate, max_in_coset, max_in_parabolic
 from .errors import EmptyIntersection, IntervalTooLarge, NotUnique, SearchBudgetExceeded
-from .parabolic import check_min_rep, decompose, min_reps_in_order
+from .parabolic import check_min_rep, coset_rep, decompose, min_reps_in_order
 
 
 def all_reduced_words(w: Element) -> tuple[Word, ...]:
@@ -118,7 +119,8 @@ def coset_max_candidates(w: Element, x: Element, J: Iterable[int]) -> frozenset[
     else:
         outside = frozenset(range(sys.rank)) - x.left_descents
         d = decompose(w, outside, "left")
-        prefix_max = max_in_parabolic(d.u, _stabilizers(x, J))
+        stab = [t for t in range(sys.rank) if coset_rep(sys._lmul_gen(t, x), J) is x]
+        prefix_max = max_in_parabolic(d.u, stab)
         acc = set()
         for s in sorted(d.v.left_descents):
             sx = sys._lmul_gen(s, x)

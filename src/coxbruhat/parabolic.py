@@ -43,50 +43,46 @@ def is_min_rep(w: Element, J: Iterable[int], side: str = "right") -> bool:
 
 def decompose(w: Element, J: Iterable[int], side: str = "right") -> ParabolicDecomposition:
     """Length-additive parabolic factorisation of w with respect to J."""
-    sys = w.system
-    J = sys.check_genset(J)
-    u = sys.identity
-    cur = w
-    if side == "right":
-        while True:
-            ds = cur.right_descents & J
-            if not ds:
-                break
-            t = min(ds)
-            cur = sys._mul_gen(cur, t)
-            u = sys._lmul_gen(t, u)
-    elif side == "left":
-        while True:
-            ds = cur.left_descents & J
-            if not ds:
-                break
-            t = min(ds)
-            cur = sys._lmul_gen(t, cur)
-            u = sys._mul_gen(u, t)
-    else:
+    J = w.system.check_genset(J)
+    if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    return ParabolicDecomposition(v=cur, u=u, side=side, J=J)
+    v, u = _split(w, J, side == "left")
+    return ParabolicDecomposition(v=v, u=u, side=side, J=J)
+
+
+def _split(w: Element, J: GenSet, left: bool = False) -> tuple[Element, Element]:
+    """(v, u) with w = v u (or w = u v when left) and u in W_J, for a checked J."""
+    sys, u = w.system, w.system.identity
+    while ds := (w.left_descents if left else w.right_descents) & J:
+        t = min(ds)
+        if left:
+            w, u = sys._lmul_gen(t, w), sys._mul_gen(u, t)
+        else:
+            w, u = sys._mul_gen(w, t), sys._lmul_gen(t, u)
+    return w, u
 
 
 def coset_rep(w: Element, J: Iterable[int]) -> Element:
     """The minimal-length representative of the coset w W_J."""
-    return decompose(w, J, "right").v
+    return _split(w, w.system.check_genset(J))[0]
 
 
 def min_reps_leq(w: Element, J: Iterable[int]) -> frozenset[Element]:
     """All minimal coset representatives below w: [e, w] intersected with W^J."""
-    return frozenset(min_reps_in_order(w, J))
+    return frozenset(min_reps_in_order(w, w.system.check_genset(J)))
 
 
-def min_reps_in_order(w: Element, J: Iterable[int]) -> list[Element]:
-    """The elements of min_reps_leq(w, J) in ShortLex order, as lower_interval stores them."""
-    J = w.system.check_genset(J)
+def min_reps_in_order(w: Element, J: GenSet) -> list[Element]:
+    """min_reps_leq(w, J) for a checked J, in the ShortLex order lower_interval stores."""
     return [u for u in lower_interval(w) if not (u.right_descents & J)]
 
 
 def check_min_rep(w: Element, J: Iterable[int]) -> GenSet:
     """J as a checked generator set; raises NotMinimalRep unless w is in W^J."""
-    J = w.system.check_genset(J)
+    return _require_min_rep(w, w.system.check_genset(J))
+
+
+def _require_min_rep(w: Element, J: GenSet) -> GenSet:
     if w.right_descents & J:
         raise NotMinimalRep(f"{w} is not a minimal representative for J={w.system.genset_str(J)}")
     return J
@@ -99,7 +95,7 @@ def check_chain(w: Element, J: Iterable[int], K: Iterable[int]) -> tuple[GenSet,
     K = sys.check_genset(K)
     if not J <= K:
         raise BadSubsetChain(f"J={sys.genset_str(J)} is not a subset of K={sys.genset_str(K)}")
-    return check_min_rep(w, J), K
+    return _require_min_rep(w, J), K
 
 
 def relative_rep(w: Element, J: Iterable[int], K: Iterable[int]) -> tuple[Element, Element]:
@@ -109,7 +105,7 @@ def relative_rep(w: Element, J: Iterable[int], K: Iterable[int]) -> tuple[Elemen
     factorisation is length additive and unique.
     """
     J, K = check_chain(w, J, K)
-    d = decompose(w, K, "right")
-    if d.u.right_descents & J:
+    v, u = _split(w, K)
+    if u.right_descents & J:
         raise InternalAssertionFailed("relative factor left the J-minimal representatives")
-    return d.v, d.u
+    return v, u

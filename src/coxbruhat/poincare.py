@@ -21,8 +21,8 @@ from typing import Iterable
 from .bruhat import poincare
 from .core import Element, GenSet
 from .errors import InternalAssertionFailed
-from .coset_max import max_in_parabolic, max_in_relative_coset, shifted_max_set
-from .parabolic import check_chain, check_min_rep, decompose, min_reps_in_order
+from .coset_max import _fold, _max_in_relative_coset, shifted_max_set
+from .parabolic import _require_min_rep, _split, check_chain, check_min_rep, min_reps_in_order
 from .polynomial import IntPolynomial
 
 
@@ -89,7 +89,10 @@ def _total(w: Element, terms: Iterable[Term]) -> IntPolynomial:
 
 def relative_poincare(w: Element, J: Iterable[int]) -> IntPolynomial:
     """P^J_w: rank generating function of the J-minimal elements of [e, w]."""
-    J = check_min_rep(w, J)
+    return _relative_poincare(w, check_min_rep(w, J))
+
+
+def _relative_poincare(w: Element, J: GenSet) -> IntPolynomial:
     counts = [0] * (w.length + 1)
     for y in min_reps_in_order(w, J):
         counts[y.length] += 1
@@ -110,18 +113,18 @@ def decompose_poincare(w: Element, J: Iterable[int]) -> PoincareDecomposition:
 def bp_report(w: Element, J: Iterable[int]) -> BPReport:
     """Billey-Postnikov test, with the verified product when it holds."""
     J = w.system.check_genset(J)
-    d = decompose(w, J, "right")
-    parabolic_max = max_in_parabolic(w, J)
-    is_bp = d.u == parabolic_max
+    v, u = _split(w, J)
+    parabolic_max = _fold(w, J)
+    is_bp = u is parabolic_max
     factorization = None
     if is_bp:
-        pv = relative_poincare(d.v, J)
-        pu = poincare(d.u)
+        pv = _relative_poincare(v, J)
+        pu = poincare(u)
         if pv * pu != poincare(w):
             raise InternalAssertionFailed("BP product does not match the Poincare polynomial")
         factorization = (pv, pu)
     return BPReport(
-        w=w, J=J, v=d.v, u=d.u, parabolic_max=parabolic_max, is_bp=is_bp,
+        w=w, J=J, v=v, u=u, parabolic_max=parabolic_max, is_bp=is_bp,
         factorization=factorization,
     )
 
@@ -140,16 +143,16 @@ def relative_decompose_poincare(
     terms = []
     shifts: dict[Element, Element] = {}
     for x in min_reps_in_order(w, K):
-        m = max_in_relative_coset(w, x, J, K).shift
+        m = _max_in_relative_coset(w, x, J, K).shift
         shifts[x] = m
-        factor = relative_poincare(m, J)
+        factor = _relative_poincare(m, J)
         terms.append(Term(x=x, shift=IntPolynomial.t_power(x.length), shifted_max=m, factor=factor))
     total = _total(w, terms)
-    d = decompose(w, K, "right")
+    v, u = _split(w, K)
     factorization = None
-    if shifts[d.v] == shifts[w.system.identity]:
-        pv = relative_poincare(d.v, K)
-        pu = relative_poincare(d.u, J)
+    if shifts[v] == shifts[w.system.identity]:
+        pv = _relative_poincare(v, K)
+        pu = _relative_poincare(u, _require_min_rep(u, J))
         if pv * pu != total:
             raise InternalAssertionFailed("relative BP product does not match P^J_w")
         factorization = (pv, pu)
