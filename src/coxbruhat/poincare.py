@@ -115,7 +115,7 @@ def bp_report(w: Element, J: Iterable[int]) -> BPReport:
     J = w.system.check_genset(J)
     v, u = _split(w, J)
     parabolic_max = _fold(w, J)
-    is_bp = u is parabolic_max
+    is_bp = u == parabolic_max
     factorization = None
     if is_bp:
         pv = _relative_poincare(v, J)
