@@ -1,8 +1,8 @@
 """Bruhat order: comparisons, lower intervals, covers, Poincare polynomials.
 
-``leq`` decides u <= w by the standard descent recursion: pick a left
-descent s of w; if s is also a left descent of u compare (su, sw), else
-compare (u, sw).  Lower intervals use the subword characterisation -- the
+``leq`` decides u <= w by walking the standard descent chain: pick a left
+descent s of w; if s is also a left descent of u go on with (su, sw), else
+with (u, sw).  Lower intervals use the subword characterisation -- the
 interval below w is exactly the set of elements of subwords of one reduced
 word of w -- computed as a left-to-right closure so equal subwords are
 merged early.  Both are memoised per system.  Covers are lifted one descent
@@ -58,24 +58,23 @@ def leq(u: Element, w: Element) -> bool:
     """Bruhat order comparison u <= w."""
     sys = u.system
     sys._check_mine(w)
-    if u is w:
-        return True
-    if u.length > w.length:
-        return False
-    if u.length == 0:
-        return True
-    cache = sys._leq_cache
-    key = (u, w)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    s = min(w.left_descents)
-    sw = sys._lmul_gen(s, w)
-    if s in u.left_descents:
-        res = leq(sys._lmul_gen(s, u), sw)
-    else:
-        res = leq(u, sw)
-    cache[key] = res
+    cache, path = sys._leq_cache, []
+    while True:
+        if u is w:
+            res = True
+        elif u.length > w.length:
+            res = False
+        elif u.length == 0:
+            res = True
+        else:
+            res = cache.get((u, w))
+        if res is not None:
+            break
+        path.append((u, w))  # every pair on the chain gets the one answer
+        s = min(w.left_descents)
+        w, u = sys._step(w, s, True), (sys._step(u, s, True) if s in u.left_descents else u)
+    for key in path:
+        cache[key] = res
     return res
 
 
@@ -96,7 +95,7 @@ def lower_interval(w: Element, *, cap: int | None = None) -> Interval:
         return cached
     members = {sys.identity}
     for s in w.word:
-        members |= {sys._mul_gen(u, s) for u in members}
+        members |= {sys._step(u, s) for u in members}
     rows: list[list[Element]] = [[] for _ in range(w.length + 1)]
     for u in members:
         rows[len(u.word)].append(u)
@@ -109,8 +108,8 @@ def lower_interval(w: Element, *, cap: int | None = None) -> Interval:
 def _lift_covers(y: Element, s: int, down) -> list[Element]:
     """The covers of y from ``down``, the covers of ys, for s a right descent
     of y: ys and each us with u in ``down`` and us > u (lifting property)."""
-    mul = y.system._mul_gen
-    return [mul(y, s)] + [mul(u, s) for u in down if s not in u.right_descents]
+    step = y.system._step
+    return [step(y, s)] + [step(u, s) for u in down if s not in u.right_descents]
 
 
 def covers(w: Element) -> frozenset[Element]:
@@ -119,7 +118,7 @@ def covers(w: Element) -> frozenset[Element]:
     sys = w.system
     y, down = sys.identity, []
     for s in w.word:
-        y = sys._mul_gen(y, s)
+        y = sys._step(y, s)
         down = _lift_covers(y, s, down)
     return frozenset(down)
 

@@ -71,7 +71,7 @@ class CosetMaxResult:
         while x.length:
             step = TraceStep(*_level(w, x, J))
             steps.append(step)
-            w, x = step.v, x.system._lmul_gen(step.s, x)
+            w, x = step.v, x.system._step(x, step.s, True)
         return tuple(steps)
 
 
@@ -96,7 +96,7 @@ def _fold(w: Element, J: GenSet) -> Element:
     q = sys.identity
     for s in w.word:
         if s in J and s not in q.right_descents:
-            q = sys._mul_gen(q, s)
+            q = sys._step(q, s)
     return q
 
 
@@ -105,7 +105,7 @@ def _stabilizers(x: Element, J: GenSet) -> GenSet:
     sys = x.system
     stab = sys._stab_cache.get((x, J))
     if stab is None:
-        stab = frozenset(t for t in J | x.support if sys._lmul_gen(t, x).right_descents & J)
+        stab = frozenset(t for t in J | x.support if sys._step(x, t, True).right_descents & J)
         stab = sys._stab_cache[x, J] = sys._stab_pool.setdefault(stab, stab)
     return stab
 
@@ -152,13 +152,13 @@ def _level(w: Element, x: Element, J: GenSet) -> tuple:
         raise InternalAssertionFailed("suffix of the split has no left descent")
     s = min(v.left_descents)
     prefix_max = _fold(u, stab)
-    sx = sys._lmul_gen(s, x)
+    sx = sys._step(x, s, True)
     if sx.right_descents & J:
         raise InternalAssertionFailed("s*x left the minimal representatives")
     if not leq(sx, v):
         raise InternalAssertionFailed("s*x is not below the suffix of the split")
     suffix_max = _max_in_coset(v, sx, J).maximum
-    sq = sys._lmul_gen(s, suffix_max)
+    sq = sys._step(suffix_max, s, True)
     if sq.length <= suffix_max.length:
         raise InternalAssertionFailed("s shortened the recursive maximum")
     return x, dl, u, v, stab, s, prefix_max, suffix_max, demazure(prefix_max, sq)

@@ -32,13 +32,13 @@ def hasse_graph(w: Element, J: Iterable[int] | None = None) -> HasseGraph:
         rep: dict[Element, Element] = {}
         for y in itv:  # by rank, so y*t is placed before y for t = min(D_R(y) & J)
             ds = y.right_descents & J
-            rep[y] = rep[sys._mul_gen(y, min(ds))] if ds else y
+            rep[y] = rep[sys._step(y, min(ds))] if ds else y
         # Each representative is the first member of its coset in ShortLex order.
         index = {x: i for i, x in enumerate(dict.fromkeys(rep.values()))}
         colors = {y: COLORS[index[x] % len(COLORS)] for y, x in rep.items()}
     down: dict[Element, list[Element]] = {sys.identity: []}
     for y in list(itv)[1:]:  # by rank, so y's prefix y*s is placed before y
-        down[y] = _lift_covers(y, y.word[-1], down[sys._mul_gen(y, y.word[-1])])
+        down[y] = _lift_covers(y, y.word[-1], down[sys._step(y, y.word[-1])])
     # Covers of y share one length, so sorting by word is ShortLex.
     edges = tuple((c, y) for y, cs in down.items() for c in sorted(cs, key=attrgetter("word")))
     return HasseGraph(interval=itv, colors=colors, edges=edges)

@@ -40,7 +40,7 @@ def all_reduced_words(w: Element) -> tuple[Word, ...]:
     else:
         acc = []
         for s in sorted(w.left_descents):
-            rest = all_reduced_words(sys._lmul_gen(s, w))
+            rest = all_reduced_words(sys._step(w, s, True))
             acc.extend((s,) + r for r in rest)
         out = tuple(acc)
     cache[w] = out
@@ -119,13 +119,13 @@ def coset_max_candidates(w: Element, x: Element, J: Iterable[int]) -> frozenset[
     else:
         outside = frozenset(range(sys.rank)) - x.left_descents
         d = decompose(w, outside, "left")
-        stab = [t for t in range(sys.rank) if coset_rep(sys._lmul_gen(t, x), J) is x]
+        stab = [t for t in range(sys.rank) if coset_rep(sys._step(x, t, True), J) is x]
         prefix_max = max_in_parabolic(d.u, stab)
         acc = set()
         for s in sorted(d.v.left_descents):
-            sx = sys._lmul_gen(s, x)
+            sx = sys._step(x, s, True)
             for inner in coset_max_candidates(d.v, sx, J):
-                acc.add(demazure(prefix_max, sys._lmul_gen(s, inner)))
+                acc.add(demazure(prefix_max, sys._step(inner, s, True)))
         out = frozenset(acc)
     cache[key] = out
     return out

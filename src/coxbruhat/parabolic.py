@@ -55,10 +55,7 @@ def _split(w: Element, J: GenSet, left: bool = False) -> tuple[Element, Element]
     sys, u = w.system, w.system.identity
     while ds := (w.left_descents if left else w.right_descents) & J:
         t = min(ds)
-        if left:
-            w, u = sys._lmul_gen(t, w), sys._mul_gen(u, t)
-        else:
-            w, u = sys._mul_gen(w, t), sys._lmul_gen(t, u)
+        w, u = sys._step(w, t, left), sys._step(u, t, not left)
     return w, u
 
 

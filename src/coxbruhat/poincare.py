@@ -21,7 +21,7 @@ from typing import Iterable
 from .bruhat import poincare
 from .core import Element, GenSet
 from .errors import InternalAssertionFailed
-from .coset_max import _fold, _max_in_relative_coset, shifted_max_set
+from .coset_max import _fold, _max_in_coset, _max_in_relative_coset
 from .parabolic import _require_min_rep, _split, check_chain, check_min_rep, min_reps_in_order
 from .polynomial import IntPolynomial
 
@@ -102,10 +102,11 @@ def _relative_poincare(w: Element, J: GenSet) -> IntPolynomial:
 def decompose_poincare(w: Element, J: Iterable[int]) -> PoincareDecomposition:
     """P_w as the sum of t^length(x) * P_shift(x) over minimal reps x <= w."""
     J = w.system.check_genset(J)
-    sms = shifted_max_set(w, J)
+    # Each representative is in W^J and below w, so the checks of max_in_coset hold.
+    shifts = {x: _max_in_coset(w, x, J).shift for x in min_reps_in_order(w, J)}
     terms = tuple(
         Term(x=x, shift=IntPolynomial.t_power(x.length), shifted_max=m, factor=poincare(m))
-        for x, m in sms.pairs.items()
+        for x, m in shifts.items()
     )
     return PoincareDecomposition(w=w, J=J, terms=terms, total=_total(w, terms))
 

@@ -187,7 +187,7 @@ def test_generator_coset_trichotomy(a3, b3):
                 for s in range(system.rank):
                     if s in x.left_descents:
                         continue
-                    sx = system._lmul_gen(s, x)
+                    sx = system._step(x, s, left=True)
                     in_quotient = is_min_rep(sx, J)
                     in_coset = coset_rep(sx, J) is x
                     assert in_quotient != in_coset

@@ -61,7 +61,7 @@ def test_trace_read_after_a_sweep_chains_and_equals_a_fresh_systems(kind):
         assert trace[0].maximum is res.maximum
         for outer, inner in zip(trace, trace[1:]):
             assert outer.suffix_max is inner.maximum
-            assert inner.x is swept._lmul_gen(outer.s, outer.x)
+            assert inner.x is swept._step(outer.x, outer.s, left=True)
         last = trace[-1]
         assert last.suffix_max is max_in_parabolic(last.v, J)
     assert len(swept._cosetmax_cache) == entries  # every level was a memo hit

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from coxbruhat import coxeter_system, demazure, leq, max_in_coset
+from coxbruhat import core, coxeter_system, demazure, leq, max_in_coset
+from coxbruhat.core import Element
 from coxbruhat.oracle import all_reduced_words
 
 
@@ -59,21 +60,21 @@ def test_every_reduced_word_normalizes_to_the_interned_element(name, max_length)
         assert system.normalize(w.word[::-1]) is w.inverse()
 
 
-def test_intern_keeps_the_first_object_for_a_word():
+def test_intern_keeps_the_first_object_for_a_word(monkeypatch):
     """A second interning of the same word while the first is still being
     built (as a racing caller would) must not leave two objects behind."""
     system = coxeter_system("A3")
-    create = system._create
+    ref = coxeter_system("A3").element("s1 s2 s3")
     word = (0, 1, 2)
     inner = []
 
-    def create_racing(w):
+    def element_racing(owner, w, mat, imat):
         if w == word and not inner:
             inner.append(None)
-            inner[0] = system._intern(w)
-        return create(w)
+            inner[0] = system._intern(w, mat, imat)
+        return Element(owner, w, mat, imat)
 
-    system._create = create_racing
-    outer = system._intern(word)
+    monkeypatch.setattr(core, "Element", element_racing)
+    outer = system._intern(word, ref._mat, ref._imat)
     assert inner[0] is outer
     assert system.element("s1 s2 s3") is outer

@@ -17,11 +17,11 @@ def test_neighbour_slots_match_normalize(name, max_length):
     pairs = [(w, s) for w in elems for s in range(system.rank)]
     random.Random(0).shuffle(pairs)
     for w, s in pairs:
-        right = system._mul_gen(w, s)
-        left = system._lmul_gen(s, w)
+        right = system._step(w, s)
+        left = system._step(w, s, left=True)
         assert right is system.normalize(w.word + (s,))
         assert left is system.normalize((s,) + w.word)
         assert right.word == ref.normalize(w.word + (s,)).word
         assert left.word == ref.normalize((s,) + w.word).word
-        assert system._mul_gen(right, s) is w
-        assert system._lmul_gen(s, left) is w
+        assert system._step(right, s) is w
+        assert system._step(left, s, left=True) is w

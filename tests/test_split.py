@@ -76,6 +76,7 @@ def test_each_generator_set_is_checked_once(count_checks):
     assert count_checks(coset_rep, w, [0, 1]) == 1
     assert count_checks(bp_report, w, [0, 1]) == 1
     assert count_checks(bp_report, w, [0]) == 1
+    assert count_checks(decompose_poincare, w, [0, 1]) == 1
     assert count_checks(relative_rep, system.element("s3 s2"), [0], [0, 1]) == 2
     for y in system.elements():
         for J, K in (([], [0]), ([0], [0, 1]), ([1], [0, 1, 2]), ([], [0, 1, 2])):
