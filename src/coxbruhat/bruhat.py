@@ -23,11 +23,15 @@ from .polynomial import IntPolynomial
 
 @dataclass(frozen=True)
 class Interval:
-    """The lower Bruhat interval [e, top]; ``ranks`` is its one ordered store."""
+    """The lower Bruhat interval [e, top]; ``ranks`` is its only store, and
+    ``members`` and the iteration order are read from it."""
 
     top: Element
-    members: frozenset[Element]
     ranks: tuple[tuple[Element, ...], ...]  # ranks[k] = members of length k, ShortLex sorted
+
+    @property
+    def members(self) -> frozenset[Element]:
+        return frozenset(self)
 
     @property
     def rank_sizes(self) -> tuple[int, ...]:  # rank_sizes[k] = number of members of length k
@@ -38,17 +42,8 @@ class Interval:
         """Rank generating function, built on first use and kept with the interval."""
         return IntPolynomial.from_coeffs(self.rank_sizes)
 
-    def sorted_members(self) -> list[Element]:
-        return list(self)
-
-    def at_length(self, k: int) -> frozenset[Element]:
-        return frozenset(self.ranks[k]) if 0 <= k < len(self.ranks) else frozenset()
-
     def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, w: Element) -> bool:
-        return w in self.members
+        return sum(map(len, self.ranks))
 
     def __iter__(self):
         return (y for row in self.ranks for y in row)
@@ -78,18 +73,16 @@ def leq(u: Element, w: Element) -> bool:
     return res
 
 
-def lower_interval(w: Element, *, cap: int | None = None) -> Interval:
+def lower_interval(w: Element) -> Interval:
     """All elements u <= w, grouped by length and ShortLex sorted once here.
 
     Enumerates the subwords of the canonical word of w (as a closure over
     prefixes, deduplicating as it goes).  Raises IntervalTooLarge when
-    length(w) exceeds the cap (the system's interval_cap by default).
+    length(w) exceeds the system's interval_cap.
     """
     sys = w.system
-    if cap is None:
-        cap = sys.interval_cap
-    if w.length > cap:
-        raise IntervalTooLarge(f"length {w.length} exceeds interval cap {cap}")
+    if w.length > sys.interval_cap:
+        raise IntervalTooLarge(f"length {w.length} exceeds interval cap {sys.interval_cap}")
     cached = sys._interval_cache.get(w)
     if cached is not None:
         return cached
@@ -100,7 +93,7 @@ def lower_interval(w: Element, *, cap: int | None = None) -> Interval:
     for u in members:
         rows[len(u.word)].append(u)
     ranks = tuple(tuple(sorted(row, key=attrgetter("word"))) for row in rows)  # ShortLex
-    itv = Interval(top=w, members=frozenset(members), ranks=ranks)
+    itv = Interval(top=w, ranks=ranks)
     sys._interval_cache[w] = itv
     return itv
 

@@ -105,7 +105,7 @@ def _cmd_leq(system, args, fmt):
 def _cmd_interval(system, args, fmt):
     w = _w_arg(system, args)
     itv = lower_interval(w)
-    members = [str(y) for y in itv.sorted_members()]
+    members = [str(y) for y in itv]
     if fmt == "json":
         return {"w": str(w), "size": len(itv), "rank_sizes": list(itv.rank_sizes),
                 "members": members}

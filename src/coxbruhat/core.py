@@ -250,7 +250,6 @@ class CoxeterSystem:
         self._interval_cache: dict[Element, object] = {}
         self._cosetmax_cache: dict[tuple[Element, Element, GenSet], object] = {}
         self._stab_cache: dict[tuple[Element, GenSet], GenSet] = {}
-        self._stab_pool: dict[GenSet, GenSet] = {}  # one shared object per stabiliser set
         self._all_gens: GenSet = frozenset(range(n))
 
         ident = tuple(tuple(1.0 if i == j else 0.0 for j in range(n)) for i in range(n))
@@ -265,10 +264,6 @@ class CoxeterSystem:
 
     def generator(self, i: int) -> Element:
         return self._gens[i]
-
-    @property
-    def generators(self) -> tuple[Element, ...]:
-        return self._gens
 
     def check_genset(self, gens: Iterable[int]) -> GenSet:
         J = frozenset(gens)

@@ -106,7 +106,7 @@ def _stabilizers(x: Element, J: GenSet) -> GenSet:
     stab = sys._stab_cache.get((x, J))
     if stab is None:
         stab = frozenset(t for t in J | x.support if sys._step(x, t, True).right_descents & J)
-        stab = sys._stab_cache[x, J] = sys._stab_pool.setdefault(stab, stab)
+        sys._stab_cache[x, J] = stab
     return stab
 
 
@@ -194,8 +194,8 @@ def _max_in_relative_coset(w: Element, x: Element, J: GenSet, K: GenSet) -> Cose
     """max_in_relative_coset for a checked chain J inside K and x in W^K below w."""
     inner = _max_in_coset(w, x, K)
     q = _split(inner.maximum, J)[0]
-    shift = x.inverse() * q
-    if not (shift.support <= K) or (shift.right_descents & J):
+    v, shift = _split(q, K)  # q lies in x W_K, so this is x * shift exactly when v is x
+    if v is not x or not (shift.support <= K) or (shift.right_descents & J):
         raise InternalAssertionFailed("relative shift is not in W^J meet W_K")
     if q.length != x.length + shift.length or not leq(q, w) or (q.right_descents & J):
         raise InternalAssertionFailed("relative maximum is not a J-minimal element of [e,w]")

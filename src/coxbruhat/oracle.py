@@ -47,7 +47,7 @@ def all_reduced_words(w: Element) -> tuple[Word, ...]:
     return out
 
 
-def brute_interval(w: Element, *, cap: int | None = None) -> frozenset[Element]:
+def brute_interval(w: Element) -> frozenset[Element]:
     """[e, w] by fixpoint closure under single-letter deletions.
 
     Starting from w, every reduced word of every discovered element has each
@@ -55,10 +55,8 @@ def brute_interval(w: Element, *, cap: int | None = None) -> frozenset[Element]:
     appears.  No subword enumeration is involved.
     """
     sys = w.system
-    if cap is None:
-        cap = sys.interval_cap
-    if w.length > cap:
-        raise IntervalTooLarge(f"length {w.length} exceeds interval cap {cap}")
+    if w.length > sys.interval_cap:
+        raise IntervalTooLarge(f"length {w.length} exceeds interval cap {sys.interval_cap}")
     cache = vars(sys).setdefault("_brute_cache", {})
     cached = cache.get(w)
     if cached is not None:

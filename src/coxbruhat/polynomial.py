@@ -106,10 +106,3 @@ class IntPolynomial:
                     parts.append(f"{c}{t}")
         text = "+".join(parts)
         return text.replace("+-", "-")
-
-    def to_json(self) -> dict:
-        return {"coeffs": list(self.coeffs)}
-
-    @staticmethod
-    def from_json(data: dict) -> "IntPolynomial":
-        return IntPolynomial.from_coeffs(data["coeffs"])

@@ -290,6 +290,13 @@ GOLDEN_CASES = {
     "mj_table.json": (
         "--type", "A3", "--format", "json", "mj-table", "--w", "s1 s2 s3 s2 s1",
         "--J", "s1,s2"),
+    "interval.txt": ("--type", "A3", "interval", "--w", "s1 s2 s3 s2 s1"),
+    "rel_max.json": (
+        "--type", "A4", "--format", "json", "rel-max", "--w", "s1 s2 s3 s4 s3 s2",
+        "--x", "s4 s3", "--J", "s1", "--K", "s1,s2"),
+    "poincare_decomp_K.json": (
+        "--type", "A4", "--format", "json", "poincare-decomp", "--w", "s1 s2 s3 s4 s3 s2",
+        "--J", "s1", "--K", "s1,s2"),
 }
 
 

@@ -29,7 +29,7 @@ def _hasse(capsys, w, fmt):
 def test_hasse_outputs_agree_on_b3(b3, capsys):
     for w in b3.elements():
         itv = lower_interval(w)
-        assert itv.sorted_members() == sorted(itv.members)
+        assert list(itv) == sorted(itv.members)
         dot = _hasse(capsys, w, "dot").splitlines()
         dot_edges = [list(m.groups()) for m in map(EDGE.match, dot) if m]
         text_edges = [line.split(" -- ") for line in _hasse(capsys, w, "text").splitlines()]
@@ -39,7 +39,7 @@ def test_hasse_outputs_agree_on_b3(b3, capsys):
         dot_colors = [list(m.groups()) for m in map(NODE.match, dot) if m]
         assert [[n["w"], n["color"]] for n in payload["nodes"]] == dot_colors
         rows = [re.findall(r'"([^"]*)";', m.group(1)) for m in map(RANK.match, dot) if m]
-        expected = [[str(y) for y in sorted(itv.at_length(k))] for k in range(w.length + 1)]
+        expected = [[str(y) for y in itv.ranks[k]] for k in range(w.length + 1)]
         assert rows == [row for row in expected if len(row) > 1]
 
 

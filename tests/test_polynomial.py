@@ -1,8 +1,6 @@
-"""Integer polynomials in t: arithmetic, rendering, JSON form."""
+"""Integer polynomials in t: arithmetic and rendering."""
 
 from __future__ import annotations
-
-import json
 
 from coxbruhat import IntPolynomial
 
@@ -48,10 +46,3 @@ def test_str_ascending():
     assert str(IntPolynomial.t_power(3)) == "t^3"
     assert str(IntPolynomial.from_coeffs([1, 2, 2, 1])) == "1+2t+2t^2+t^3"
     assert str(IntPolynomial.from_coeffs([0, 1, 0, 5])) == "t+5t^3"
-
-
-def test_json_round_trip():
-    p = IntPolynomial.from_coeffs([1, 3, 5, 6, 4, 1])
-    blob = json.dumps(p.to_json())
-    assert IntPolynomial.from_json(json.loads(blob)) == p
-    assert p.to_json() == {"coeffs": [1, 3, 5, 6, 4, 1]}
