@@ -76,9 +76,9 @@ def leq(u: Element, w: Element) -> bool:
 def lower_interval(w: Element) -> Interval:
     """All elements u <= w, grouped by length and ShortLex sorted once here.
 
-    Enumerates the subwords of the canonical word of w (as a closure over
-    prefixes, deduplicating as it goes).  Raises IntervalTooLarge when
-    length(w) exceeds the system's interval_cap.
+    Enumerates the subwords of w's canonical word as a closure over prefixes,
+    adding only ascents u*s: the closure is a lower ideal, so it has u*s < u.
+    Raises IntervalTooLarge when length(w) exceeds the system's interval_cap.
     """
     sys = w.system
     if w.length > sys.interval_cap:
@@ -88,7 +88,7 @@ def lower_interval(w: Element) -> Interval:
         return cached
     members = {sys.identity}
     for s in w.word:
-        members |= {sys._step(u, s) for u in members}
+        members |= {sys._step(u, s) for u in members if s not in u.right_descents}
     rows: list[list[Element]] = [[] for _ in range(w.length + 1)]
     for u in members:
         rows[len(u.word)].append(u)

@@ -18,9 +18,10 @@ least the largest coordinate in size (Björner-Brenti, *Combinatorics of
 Coxeter Groups*, ch. 4); negativity is read off these sums against a fixed
 tolerance (``SIGN_TOL``).  The identity is built from identity rows; every
 other element takes its matrices from the neighbour it was reached from, one
-generator step away (``w*s`` or ``s*w`` from ``w``), the generators included.
+generator step away (``w*s`` or ``s*w`` from ``w``), the generators included,
+or from a walk that interns only a word's end (``normalize``, ``multiply``).
 Against a rebuild along the canonical word the stored entries drifted by at
-most about 1e-12, far below the tolerance, over every element of H3, B4, F4
+most about 1e-11, far below the tolerance, over every element of H3, B4, F4
 and D5 and over reduced words of length up to 64 in A~2 to A~4 and H4.  For
 infinite non-affine groups the tolerance does not hold: root coordinates grow
 exponentially, and random reduced walks in the all-5 rank-4 matrix, the
@@ -29,6 +30,8 @@ exponentially, and random reduced walks in the all-5 rank-4 matrix, the
 item "Exact word problem: retire SIGN_TOL" replaces the floats with exact
 arithmetic).  Canonical words are produced greedily by peeling off the
 smallest left descent, which needs only the column sums of the inverse matrix.
+A step dropping an end letter of a canonical word peels nothing (factors of
+ShortLex-least words are ShortLex-least).
 
 Systems intern their elements: per system each group element exists as one
 immutable Element object, built only by ``CoxeterSystem._intern``.  Equality
@@ -308,21 +311,17 @@ class CoxeterSystem:
 
     def normalize(self, letters: Iterable[int]) -> Element:
         """Fold a word into its group element (canonical form)."""
-        out = self.identity
+        letters = tuple(letters)
         rank = self.rank
         for s in letters:
             if not (s.__class__ is int and 0 <= s < rank or _is_index(s, rank)):
                 raise ValueError(f"generator index {s!r} out of range for rank {rank}")
-            out = self._step(out, s)
-        return out
+        return self._walk(self.identity, letters)
 
     def multiply(self, a: Element, b: Element) -> Element:
         self._check_mine(a)
         self._check_mine(b)
-        out = a
-        for s in b.word:
-            out = self._step(out, s)
-        return out
+        return self._walk(a, b.word)
 
     def elements(self, max_length: int | None = None) -> list[Element]:
         """All elements of length <= max_length, ShortLex sorted.
@@ -416,34 +415,68 @@ class CoxeterSystem:
 
         (w s)^-1 = s w^-1 and (s w)^-1 = w^-1 s, so the side only picks the
         slots, the descents and which of the two matrices S_s multiplies on
-        which side.
+        which side.  When s ends w's word on that side, the rest of the word is
+        the product's: a factor of a ShortLex-least word is ShortLex-least.
         """
         slots = w._lmul if left else w._rmul
         hit = slots[s]
         if hit is not None:
             return hit
-        if s in (w.left_descents if left else w.right_descents):
-            newlen = w.length - 1
-        else:
-            newlen = w.length + 1
-            if newlen > self.length_cap:
-                raise LengthCapExceeded(
-                    f"element of length {newlen} exceeds length_cap={self.length_cap}"
-                )
         on_imat, on_mat = ((self._apply_right, self._apply_left) if left
                            else (self._apply_left, self._apply_right))
-        irows = [list(r) for r in w._imat]
-        on_imat(s, irows)
-        imat = tuple(map(tuple, irows))
-        word = self._canonical(imat, newlen)
+        word, imat = w.word, None
+        if word and word[0 if left else -1] == s:
+            word = word[1:] if left else word[:-1]
+        else:
+            if s in (w.left_descents if left else w.right_descents):
+                newlen = w.length - 1
+            else:
+                newlen = w.length + 1
+                if newlen > self.length_cap:
+                    raise self._too_long(newlen)
+            imat = self._moved(w._imat, s, on_imat)
+            word = self._canonical(imat, newlen)
         out = self._elements.get(word)
         if out is None:
-            rows = [list(r) for r in w._mat]
-            on_mat(s, rows)
-            out = self._intern(word, tuple(map(tuple, rows)), imat)
+            if imat is None:
+                imat = self._moved(w._imat, s, on_imat)
+            out = self._intern(word, self._moved(w._mat, s, on_mat), imat)
         slots[s] = out
         (out._lmul if left else out._rmul)[s] = w
         return out
+
+    def _walk(self, w: Element, letters: Word) -> Element:
+        """w times checked letters: generator steps up to the first new element, then the
+        rest on one pair of mutable matrices, canonicalised once: no prefix's word is read."""
+        known = len(self._elements)
+        for i, s in enumerate(letters):
+            hit = w._rmul[s]
+            w = hit or self._step(w, s)
+            if hit is None and len(self._elements) != known and i + 1 < len(letters):
+                break
+        else:
+            return w
+        rows, irows = [list(r) for r in w._mat], [list(r) for r in w._imat]
+        length = w.length
+        for s in letters[i + 1:]:
+            if sum(row[s] for row in rows) < SIGN_TOL:  # column sum, as in _sign_descents
+                length -= 1
+            else:
+                length += 1
+                if length > self.length_cap:
+                    raise self._too_long(length)
+            self._apply_right(s, rows)
+            self._apply_left(s, irows)
+        imat = tuple(map(tuple, irows))
+        return self._intern(self._canonical(imat, length), tuple(map(tuple, rows)), imat)
+
+    def _moved(self, mat, s: int, apply) -> tuple:
+        rows = [list(r) for r in mat]
+        apply(s, rows)
+        return tuple(map(tuple, rows))
+
+    def _too_long(self, length: int) -> LengthCapExceeded:
+        return LengthCapExceeded(f"element of length {length} exceeds length_cap={self.length_cap}")
 
     def _check_mine(self, elem: Element) -> None:
         if elem.system is not self:

@@ -207,11 +207,8 @@ def verify_interval_product(w: Element, u: Element) -> bool:
     sys = w.system
     sys._check_mine(u)
     star = demazure(w, u)
-    products = {
-        a * b
-        for a in lower_interval(w).members
-        for b in lower_interval(u).members
-    }
+    below_u = lower_interval(u).members
+    products = {a * b for a in lower_interval(w).members for b in below_u}
     return products == lower_interval(star).members
 
 

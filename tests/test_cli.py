@@ -297,6 +297,14 @@ GOLDEN_CASES = {
     "poincare_decomp_K.json": (
         "--type", "A4", "--format", "json", "poincare-decomp", "--w", "s1 s2 s3 s4 s3 s2",
         "--J", "s1", "--K", "s1,s2"),
+    # 56 letters reducing to length 40, and 33 reducing to length 11
+    "leq_long.json": (
+        "--type", "A~3", "--format", "json", "leq",
+        "--w", "s2 s1 s4 s3 s1 s2 s1 s3 s2 s4 s3 s1 s2 s3 s4 s3 s1 s4 s3 s2"
+        " s1 s3 s4 s2 s1 s3 s4 s2 s3 s4 s1 s2 s4 s3 s2 s4 s1 s4 s2 s3"
+        " s1 s2 s1 s4 s1 s3 s4 s2 s2 s4 s3 s1 s4 s1 s2 s1",
+        "--u", "s1 s4 s3 s1 s1 s3 s2 s4 s1 s2 s3 s3 s4 s3 s2 s4 s2 s1 s3 s4"
+        " s1 s3 s2 s4 s4 s2 s1 s2 s4 s1 s3 s4 s2"),
 }
 
 
