@@ -73,6 +73,12 @@ def leq(u: Element, w: Element) -> bool:
     return res
 
 
+def _check_interval_cap(w: Element) -> None:
+    """Raise IntervalTooLarge when length(w) exceeds the system's interval_cap."""
+    if w.length > w.system.interval_cap:
+        raise IntervalTooLarge(f"length {w.length} exceeds interval cap {w.system.interval_cap}")
+
+
 def lower_interval(w: Element) -> Interval:
     """All elements u <= w, grouped by length and ShortLex sorted once here.
 
@@ -81,8 +87,7 @@ def lower_interval(w: Element) -> Interval:
     Raises IntervalTooLarge when length(w) exceeds the system's interval_cap.
     """
     sys = w.system
-    if w.length > sys.interval_cap:
-        raise IntervalTooLarge(f"length {w.length} exceeds interval cap {sys.interval_cap}")
+    _check_interval_cap(w)
     cached = sys._interval_cache.get(w)
     if cached is not None:
         return cached

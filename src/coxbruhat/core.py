@@ -253,6 +253,8 @@ class CoxeterSystem:
         self._interval_cache: dict[Element, object] = {}
         self._cosetmax_cache: dict[tuple[Element, Element, GenSet], object] = {}
         self._stab_cache: dict[tuple[Element, GenSet], GenSet] = {}
+        # (w, J) -> (x -> coset maximum, checked x -> shift or None), coset_max._shift_table
+        self._shift_tables: dict[tuple[Element, GenSet], tuple] = {}
         self._all_gens: GenSet = frozenset(range(n))
 
         ident = tuple(tuple(1.0 if i == j else 0.0 for j in range(n)) for i in range(n))
@@ -276,8 +278,10 @@ class CoxeterSystem:
         return J
 
     def clear_caches(self) -> None:
-        """Drop the leq, interval, coset-maximum and stabiliser memos; elements stay interned."""
-        for memo in (self._leq_cache, self._interval_cache, self._cosetmax_cache, self._stab_cache):
+        """Drop the leq, interval, coset-maximum, stabiliser and shift-table memos;
+        elements stay interned."""
+        for memo in (self._leq_cache, self._interval_cache, self._cosetmax_cache,
+                     self._stab_cache, self._shift_tables):
             memo.clear()
 
     def gen_index(self, name: str) -> int:

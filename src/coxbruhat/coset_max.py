@@ -2,9 +2,9 @@
 
 For w in W, J a subset of the generators and x a minimal representative
 below w, the set [e, w] meet x W_J has a unique maximal element q, and
-[e, w] meet x W_J is isomorphic as a graded poset to [e, x^-1 q].  This
-module computes q (and the shift x^-1 q in W_J) by recursion on the length
-of x:
+[e, w] meet x W_J is isomorphic as a graded poset to [e, x^-1 q].  A single
+query (:func:`max_in_coset`, and ``max-coset --trace``) computes q by the
+paper's recursion on the length of x:
 
 * base x = e: q is the Demazure fold of the J-letters of the canonical word
   of w, taken in order;
@@ -19,18 +19,31 @@ independent of the choice; :func:`.oracle.coset_max_candidates` explores
 every choice and is used for verification.  Results, and the coset
 stabilizers of each (x, J), are memoised per system; a result rebuilds its
 per-level trace through memo hits on first read.
+
+Sweeps over every x (:func:`shifted_max_set` and the Poincare
+decompositions) read the whole table x -> q instead, built without the
+recursion by extending along w's word.  For a left ascent s of w,
+[e, s w] = [e, w] union s [e, w] (lifting property, Björner-Brenti
+Prop. 2.2.7), so the maximum for s w in x W_J is the longer of q_w(x) and
+s q_w(x'), where x' is the minimal representative of s x W_J (x itself when
+s x is not in W^J, s x otherwise, by Deodhar's lemma); the second candidate
+drops out when s is a left descent of q_w(x'), and the theorem says one
+candidate dominates the other.  Starting from {e: e}, the letters of w's
+canonical word are applied from right to left, and the table of every
+suffix is memoised per (w, J).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Mapping
 
-from .bruhat import leq
+from .bruhat import _check_interval_cap, leq
 from .core import Element, GenSet, demazure
 from .errors import EmptyIntersection, InternalAssertionFailed
-from .parabolic import _split, check_chain, check_min_rep, min_reps_in_order
+from .parabolic import _split, check_chain, check_min_rep
 
 
 @dataclass(frozen=True)
@@ -132,14 +145,19 @@ def _max_in_coset(w: Element, x: Element, J: GenSet) -> CosetMaxResult:
         return hit
 
     q = _fold(w, J) if x.length == 0 else _level(w, x, J)[-1]
+    res = CosetMaxResult(w=w, x=x, J=J, maximum=q, shift=_checked_shift(w, x, q, J))
+    sys._cosetmax_cache[key] = res
+    return res
+
+
+def _checked_shift(w: Element, x: Element, q: Element, J: GenSet) -> Element:
+    """x^-1 q, once q is checked to lie in [e, w] meet x W_J, length-additively."""
     v, shift = _split(q, J)  # q = x * shift exactly when q lies in x W_J
     if not leq(q, w) or v is not x:
         raise InternalAssertionFailed("computed maximum is not in [e,w] meet xW_J")
     if not (shift.support <= J) or q.length != x.length + shift.length:
         raise InternalAssertionFailed("shift is not a length-additive W_J factor")
-    res = CosetMaxResult(w=w, x=x, J=J, maximum=q, shift=shift)
-    sys._cosetmax_cache[key] = res
-    return res
+    return shift
 
 
 def _level(w: Element, x: Element, J: GenSet) -> tuple:
@@ -169,11 +187,57 @@ def coset_shift(w: Element, x: Element, J: Iterable[int]) -> Element:
     return max_in_coset(w, x, J).shift
 
 
+def _shift_table(w: Element, J: GenSet) -> tuple[dict, dict]:
+    """(maxima, shifts) over x in [e, w]^J for a checked J: maxima maps x to the
+    maximum q of [e, w] meet x W_J, and shifts, in ShortLex order of x, maps x
+    to x^-1 q after the checks :func:`max_in_coset` makes.
+
+    Raises IntervalTooLarge when length(w) exceeds the system's interval_cap.
+    """
+    _check_interval_cap(w)
+    memo = w.system._shift_tables
+    maxima, shifts = memo.get((w, J)) or (_maxima(w, J), None)
+    if shifts is None:
+        shifts = {x: _checked_shift(w, x, maxima[x], J)
+                  for x in sorted(maxima, key=attrgetter("length", "word"))}
+        memo[w, J] = (maxima, shifts)
+    return maxima, shifts
+
+
+def _maxima(w: Element, J: GenSet) -> dict[Element, Element]:
+    """x -> q_w(x) over [e, w]^J, extended letter by letter from the longest
+    suffix of w's word with a memoised table; each new suffix table is memoised."""
+    sys = w.system
+    memo = sys._shift_tables
+    suffixes = []
+    while (entry := memo.get((w, J))) is None and w.length:
+        suffixes.append(w)
+        w = sys._step(w, w.word[0], True)  # drop the first letter: a factor step
+    table = entry[0] if entry else {w: w}
+    for y in reversed(suffixes):
+        s = y.word[0]
+        new = dict(table)
+        for x, m in table.items():
+            if s in m.left_descents:
+                continue  # s times [e, w] meet x W_J lies below m <= w: nothing new
+            sx = sys._step(x, s, True)
+            if not (sx.right_descents & J):
+                x = sx  # s x W_J is another coset, with minimal representative s x
+            sm = sys._step(m, s, True)
+            old = new.get(x)
+            if old is None or old.length < sm.length:
+                new[x] = sm
+            elif old.length == sm.length and old is not sm:
+                raise InternalAssertionFailed("two coset maxima candidates of equal length")
+        table = new
+        memo[y, J] = (table, None)
+    return table
+
+
 def shifted_max_set(w: Element, J: Iterable[int]) -> ShiftedMaxSet:
     """Shifts for every minimal representative below w, ShortLex ordered."""
     J = w.system.check_genset(J)
-    # Each representative is in W^J and below w, so the checks of max_in_coset hold.
-    pairs = {x: _max_in_coset(w, x, J).shift for x in min_reps_in_order(w, J)}
+    pairs = dict(_shift_table(w, J)[1])
     return ShiftedMaxSet(w=w, J=J, pairs=pairs, values=frozenset(pairs.values()))
 
 
@@ -187,13 +251,16 @@ def max_in_relative_coset(
     for (w, x, K); the shift x^-1 q lies in W^J meet W_K.
     """
     J, K = check_chain(w, J, K)
-    return _max_in_relative_coset(w, x, J, _validate(w, x, K))
+    K = _validate(w, x, K)
+    return _max_in_relative_coset(w, x, _max_in_coset(w, x, K).maximum, J, K)
 
 
-def _max_in_relative_coset(w: Element, x: Element, J: GenSet, K: GenSet) -> CosetMaxResult:
-    """max_in_relative_coset for a checked chain J inside K and x in W^K below w."""
-    inner = _max_in_coset(w, x, K)
-    q = _split(inner.maximum, J)[0]
+def _max_in_relative_coset(
+    w: Element, x: Element, q_K: Element, J: GenSet, K: GenSet
+) -> CosetMaxResult:
+    """The relative maximum from q_K, the maximum of [e, w] meet x W_K, for a
+    checked chain J inside K and x in W^K below w."""
+    q = _split(q_K, J)[0]
     v, shift = _split(q, K)  # q lies in x W_K, so this is x * shift exactly when v is x
     if v is not x or not (shift.support <= K) or (shift.right_descents & J):
         raise InternalAssertionFailed("relative shift is not in W^J meet W_K")

@@ -21,7 +21,7 @@ from typing import Iterable
 from .bruhat import poincare
 from .core import Element, GenSet
 from .errors import InternalAssertionFailed
-from .coset_max import _fold, _max_in_coset, _max_in_relative_coset
+from .coset_max import _fold, _max_in_relative_coset, _shift_table
 from .parabolic import _require_min_rep, _split, check_chain, check_min_rep, min_reps_in_order
 from .polynomial import IntPolynomial
 
@@ -102,8 +102,7 @@ def _relative_poincare(w: Element, J: GenSet) -> IntPolynomial:
 def decompose_poincare(w: Element, J: Iterable[int]) -> PoincareDecomposition:
     """P_w as the sum of t^length(x) * P_shift(x) over minimal reps x <= w."""
     J = w.system.check_genset(J)
-    # Each representative is in W^J and below w, so the checks of max_in_coset hold.
-    shifts = {x: _max_in_coset(w, x, J).shift for x in min_reps_in_order(w, J)}
+    shifts = _shift_table(w, J)[1]
     terms = tuple(
         Term(x=x, shift=IntPolynomial.t_power(x.length), shifted_max=m, factor=poincare(m))
         for x, m in shifts.items()
@@ -141,10 +140,11 @@ def relative_decompose_poincare(
     (P^K_v, P^J_u) is attached.
     """
     J, K = check_chain(w, J, K)
+    maxima, shifts_K = _shift_table(w, K)
     terms = []
     shifts: dict[Element, Element] = {}
-    for x in min_reps_in_order(w, K):
-        m = _max_in_relative_coset(w, x, J, K).shift
+    for x in shifts_K:
+        m = _max_in_relative_coset(w, x, maxima[x], J, K).shift
         shifts[x] = m
         factor = _relative_poincare(m, J)
         terms.append(Term(x=x, shift=IntPolynomial.t_power(x.length), shifted_max=m, factor=factor))

@@ -297,6 +297,12 @@ GOLDEN_CASES = {
     "poincare_decomp_K.json": (
         "--type", "A4", "--format", "json", "poincare-decomp", "--w", "s1 s2 s3 s4 s3 s2",
         "--J", "s1", "--K", "s1,s2"),
+    # non-type-A: the m = 5 bond s1-s2 lies inside J
+    "mj_table_H3.json": (
+        "--type", "H3", "--format", "json", "mj-table",
+        "--w", "s3 s2 s1 s2 s1 s3 s2 s1 s2 s3", "--J", "s1,s2"),
+    "poincare_decomp_D4.txt": (
+        "--type", "D4", "poincare-decomp", "--w", "s1 s2 s3 s4 s2 s1 s3 s2", "--J", "s1,s2,s4"),
     # 56 letters reducing to length 40, and 33 reducing to length 11
     "leq_long.json": (
         "--type", "A~3", "--format", "json", "leq",

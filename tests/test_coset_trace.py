@@ -4,6 +4,8 @@ The memo holds results without traces; reading ``.trace`` walks the
 recursion again from (w, x, J) down to x = e through memo hits.  These tests
 check that the rebuilt levels chain together, match a fresh system's and the
 relative variant's, and that a sweep that reads no trace stores none.
+The sweeps call max_in_coset on every triple: the shift tables of
+shifted_max_set do not use the recursion memo.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from coxbruhat import (
     max_in_parabolic,
     max_in_relative_coset,
     min_reps_leq,
-    shifted_max_set,
 )
 from conftest import all_gensets
 
@@ -32,9 +33,9 @@ def _triples(system):
 
 
 def _sweep(system):
-    for w in system.elements():
-        for J in all_gensets(system):
-            shifted_max_set(w, J)
+    """Warm the recursion memos: max_in_coset over every (w, x, J)."""
+    for w, x, J in _triples(system):
+        max_in_coset(w, x, J)
 
 
 def _words(trace):

@@ -6,9 +6,11 @@ import pytest
 
 from coxbruhat import (
     IntPolynomial,
+    IntervalTooLarge,
     NotMinimalRep,
     bp_report,
     coset_shift,
+    coxeter_system,
     decompose,
     decompose_poincare,
     is_min_rep,
@@ -18,6 +20,7 @@ from coxbruhat import (
     poincare_polynomial,
     relative_decompose_poincare,
     relative_poincare,
+    shifted_max_set,
 )
 from conftest import all_gensets
 
@@ -197,3 +200,19 @@ def test_reverse_order_embedding(a3):
         for x2 in reps:
             if leq(x1, x2):
                 assert leq(coset_shift(w, x2, J), coset_shift(w, x1, J))
+
+
+@pytest.mark.parametrize("kind, word", [("A3", "s1 s2 s3 s2"), ("A~2", "s1 s2 s3 s1 s2")])
+def test_sweeps_raise_past_the_interval_cap(kind, word):
+    """Every whole-table call refuses a w longer than interval_cap, and answers at the cap."""
+    system = coxeter_system(kind, interval_cap=len(word.split()) - 1)
+    w = system.element(word)
+    at_cap = system.element(" ".join(word.split()[1:]))
+    assert w.length == system.interval_cap + 1 == at_cap.length + 1
+    message = f"length {w.length} exceeds interval cap {system.interval_cap}"
+    for call in (lambda y: shifted_max_set(y, [0]),
+                 lambda y: decompose_poincare(y, [0]),
+                 lambda y: relative_decompose_poincare(y, [], [0])):
+        with pytest.raises(IntervalTooLarge, match=message):
+            call(w)
+        call(at_cap)

@@ -91,6 +91,8 @@ def _sweep(system):
             sms = shifted_max_set(w, J)
             out.append((w, J, tuple(sms.pairs.items()),
                         decompose_poincare(w, J).total, bp_report(w, J).is_bp))
+            # the tables do not use the recursion, so warm its memos directly
+            out.append(tuple(max_in_coset(w, x, J).maximum for x in sms.pairs))
     return out
 
 
@@ -99,7 +101,7 @@ def test_clear_caches_keeps_elements_and_results():
     first = _sweep(system)
     elements = dict(system._elements)
     memos = (system._leq_cache, system._interval_cache, system._cosetmax_cache,
-             system._stab_cache)
+             system._stab_cache, system._shift_tables)
     assert all(memos)
     system.clear_caches()
     assert not any(memos)
