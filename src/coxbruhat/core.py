@@ -255,6 +255,10 @@ class CoxeterSystem:
         self._stab_cache: dict[tuple[Element, GenSet], GenSet] = {}
         # (w, J) -> (x -> coset maximum, checked x -> shift or None), coset_max._shift_table
         self._shift_tables: dict[tuple[Element, GenSet], tuple] = {}
+        # (w, J, left) -> (v, u), parabolic._split
+        self._split_cache: dict[tuple[Element, GenSet, bool], tuple[Element, Element]] = {}
+        # (x, shifted maximum) -> Term, poincare.decompose_poincare
+        self._term_cache: dict[tuple[Element, Element], object] = {}
         self._all_gens: GenSet = frozenset(range(n))
 
         ident = tuple(tuple(1.0 if i == j else 0.0 for j in range(n)) for i in range(n))
@@ -278,10 +282,11 @@ class CoxeterSystem:
         return J
 
     def clear_caches(self) -> None:
-        """Drop the leq, interval, coset-maximum, stabiliser and shift-table memos;
-        elements stay interned."""
+        """Drop the leq, interval, coset-maximum, stabiliser, shift-table, split
+        and Poincare-term memos; elements stay interned."""
         for memo in (self._leq_cache, self._interval_cache, self._cosetmax_cache,
-                     self._stab_cache, self._shift_tables):
+                     self._stab_cache, self._shift_tables, self._split_cache,
+                     self._term_cache):
             memo.clear()
 
     def gen_index(self, name: str) -> int:

@@ -51,12 +51,18 @@ def decompose(w: Element, J: Iterable[int], side: str = "right") -> ParabolicDec
 
 
 def _split(w: Element, J: GenSet, left: bool = False) -> tuple[Element, Element]:
-    """(v, u) with w = v u (or w = u v when left) and u in W_J, for a checked J."""
-    sys, u = w.system, w.system.identity
-    while ds := (w.left_descents if left else w.right_descents) & J:
-        t = min(ds)
-        w, u = sys._step(w, t, left), sys._step(u, t, not left)
-    return w, u
+    """(v, u) with w = v u (or w = u v when left) and u in W_J, for a checked J;
+    memoised per (w, J, left)."""
+    sys = w.system
+    key = (w, J, left)
+    hit = sys._split_cache.get(key)
+    if hit is None:
+        v, u = w, sys.identity
+        while ds := (v.left_descents if left else v.right_descents) & J:
+            t = min(ds)
+            v, u = sys._step(v, t, left), sys._step(u, t, not left)
+        hit = sys._split_cache[key] = (v, u)
+    return hit
 
 
 def coset_rep(w: Element, J: Iterable[int]) -> Element:

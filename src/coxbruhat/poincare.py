@@ -102,12 +102,16 @@ def _relative_poincare(w: Element, J: GenSet) -> IntPolynomial:
 def decompose_poincare(w: Element, J: Iterable[int]) -> PoincareDecomposition:
     """P_w as the sum of t^length(x) * P_shift(x) over minimal reps x <= w."""
     J = w.system.check_genset(J)
-    shifts = _shift_table(w, J)[1]
-    terms = tuple(
-        Term(x=x, shift=IntPolynomial.t_power(x.length), shifted_max=m, factor=poincare(m))
-        for x, m in shifts.items()
-    )
+    memo = w.system._term_cache
+    terms = tuple(memo.get(xm) or _term(memo, *xm) for xm in _shift_table(w, J)[1].items())
     return PoincareDecomposition(w=w, J=J, terms=terms, total=_total(w, terms))
+
+
+def _term(memo: dict, x: Element, m: Element) -> Term:
+    """The term of decompose_poincare for x with shift m, stored in memo under (x, m)."""
+    term = memo[x, m] = Term(x=x, shift=IntPolynomial.t_power(x.length), shifted_max=m,
+                             factor=poincare(m))
+    return term
 
 
 def bp_report(w: Element, J: Iterable[int]) -> BPReport:

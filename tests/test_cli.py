@@ -311,6 +311,9 @@ GOLDEN_CASES = {
         " s1 s2 s1 s4 s1 s3 s4 s2 s2 s4 s3 s1 s4 s1 s2 s1",
         "--u", "s1 s4 s3 s1 s1 s3 s2 s4 s1 s2 s3 s3 s4 s3 s2 s4 s2 s1 s3 s4"
         " s1 s3 s2 s4 s4 s2 s1 s2 s4 s1 s3 s4 s2"),
+    # the Billey-Postnikov test for every J of H3
+    "bp_scan_H3.json": (
+        "--type", "H3", "--format", "json", "bp-scan", "--w", "s3 s2 s1 s2 s1 s3 s2 s1"),
 }
 
 

@@ -101,7 +101,8 @@ def test_clear_caches_keeps_elements_and_results():
     first = _sweep(system)
     elements = dict(system._elements)
     memos = (system._leq_cache, system._interval_cache, system._cosetmax_cache,
-             system._stab_cache, system._shift_tables)
+             system._stab_cache, system._shift_tables, system._split_cache,
+             system._term_cache)
     assert all(memos)
     system.clear_caches()
     assert not any(memos)
