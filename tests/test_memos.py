@@ -34,17 +34,20 @@ def _words(elements):
     return tuple(y.word for y in elements)
 
 
+def _coeffs(factorization):
+    return None if factorization is None else tuple(p.coeffs for p in factorization)
+
+
 def _plain(dec, sms, bp):
     """The three sweep results for one (w, J) as words and coefficients, field by field."""
-    poly = lambda p: None if p is None else tuple(q.coeffs for q in p)
     return (
-        (dec.w.word, dec.J, dec.K, dec.total.coeffs, poly(dec.factorization),
+        (dec.w.word, dec.J, dec.K, dec.total.coeffs, _coeffs(dec.factorization),
          tuple((t.x.word, t.shift.coeffs, t.shifted_max.word, t.factor.coeffs)
                for t in dec.terms)),
         (sms.w.word, sms.J, tuple((x.word, m.word) for x, m in sms.pairs.items()),
          frozenset(m.word for m in sms.values)),
         (bp.w.word, bp.J, bp.v.word, bp.u.word, bp.parabolic_max.word, bp.is_bp,
-         poly(bp.factorization)),
+         _coeffs(bp.factorization)),
     )
 
 
