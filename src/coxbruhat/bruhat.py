@@ -84,6 +84,9 @@ def lower_interval(w: Element) -> Interval:
 
     Enumerates the subwords of w's canonical word as a closure over prefixes,
     adding only ascents u*s: the closure is a lower ideal, so it has u*s < u.
+    Each letter multiplies the members by length, so tail(u)*s (tail(u) is u
+    without its first letter) is built before u*s and lends it its word
+    (``CoxeterSystem._step``).
     Raises IntervalTooLarge when length(w) exceeds the system's interval_cap.
     """
     sys = w.system
@@ -91,12 +94,14 @@ def lower_interval(w: Element) -> Interval:
     cached = sys._interval_cache.get(w)
     if cached is not None:
         return cached
-    members = {sys.identity}
+    seen, rows = {sys.identity}, [[sys.identity]]
     for s in w.word:
-        members |= {sys._step(u, s) for u in members if s not in u.right_descents}
-    rows: list[list[Element]] = [[] for _ in range(w.length + 1)]
-    for u in members:
-        rows[len(u.word)].append(u)
+        rows.append([])
+        for k in range(len(rows) - 1):  # rows[k + 1] gains products u*s, which skip s
+            new = [x for u in rows[k] if s not in u.right_descents
+                   and (x := sys._step(u, s)) not in seen]
+            seen.update(new)
+            rows[k + 1] += new
     ranks = tuple(tuple(sorted(row, key=attrgetter("word"))) for row in rows)  # ShortLex
     itv = Interval(top=w, ranks=ranks)
     sys._interval_cache[w] = itv

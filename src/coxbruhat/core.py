@@ -19,8 +19,8 @@ Coxeter Groups*, ch. 4); negativity is read off these sums against a fixed
 tolerance (``SIGN_TOL``).  The identity is built from identity rows; every
 other element takes its matrices from the neighbour it was reached from, one
 generator step away (``w*s`` or ``s*w`` from ``w``), the generators included,
-or from a walk that interns only a word's end (``normalize``, ``multiply``).
-Against a rebuild along the canonical word the stored entries drifted by at
+or from a walk that interns only a word's end (``normalize``, ``multiply``);
+a step also derives the new element's root sums from the neighbour's.  Against a rebuild along the canonical word the stored entries drifted by at
 most about 1e-11, far below the tolerance, over every element of H3, B4, F4
 and D5 and over reduced words of length up to 64 in A~2 to A~4 and H4.  For
 infinite non-affine groups the tolerance does not hold: root coordinates grow
@@ -31,7 +31,9 @@ item "Exact word problem: retire SIGN_TOL" replaces the floats with exact
 arithmetic).  Canonical words are produced greedily by peeling off the
 smallest left descent, which needs only the column sums of the inverse matrix.
 A step dropping an end letter of a canonical word peels nothing (factors of
-ShortLex-least words are ShortLex-least).
+ShortLex-least words are ShortLex-least); any other right product w*s reads
+its word off w, tail(w) (w without its first letter) or tail(w)*s, with one
+peel checked against that neighbour (``CoxeterSystem._neighbour_word``).
 
 Systems intern their elements: per system each group element exists as one
 immutable Element object, built only by ``CoxeterSystem._intern``.  Equality
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import math
 from functools import total_ordering
-from operator import attrgetter
+from operator import add, attrgetter, sub
 from typing import Iterable, Sequence
 
 from .errors import InternalAssertionFailed, InvalidMatrix, LengthCapExceeded
@@ -93,7 +95,8 @@ class Element:
     """
 
     __slots__ = (
-        "system", "word", "length", "_mat", "_imat", "_left", "_right", "_inv", "_rmul", "_lmul",
+        "system", "word", "length", "_mat", "_imat", "_lsum", "_rsum", "_left", "_right", "_inv",
+        "_rmul", "_lmul",
     )
 
     def __init__(self, system: "CoxeterSystem", word: Word, mat, imat):
@@ -102,6 +105,7 @@ class Element:
         self.length = len(word)
         self._mat = mat    # rows of the matrix of w: column j = w(alpha_j)
         self._imat = imat  # rows of the matrix of w^-1
+        self._lsum = self._rsum = None  # column sums of _imat and _mat, see _root_sums
         self._left: GenSet | None = None
         self._right: GenSet | None = None
         self._inv: Element | None = None
@@ -120,14 +124,22 @@ class Element:
     @property
     def right_descents(self) -> GenSet:
         if self._right is None:
-            self._right = self.system._sign_descents(self._mat)
+            self._right = frozenset(s for s, v in enumerate(self._root_sums()[1]) if v < SIGN_TOL)
         return self._right
 
     @property
     def left_descents(self) -> GenSet:
         if self._left is None:
-            self._left = self.system._sign_descents(self._imat)
+            self._left = frozenset(s for s, v in enumerate(self._root_sums()[0]) if v < SIGN_TOL)
         return self._left
+
+    def _root_sums(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Column sums of _imat and _mat, a root sum per generator: carried over
+        by ``_step``, added up on first use for the identity and walk results."""
+        if self._lsum is None:
+            self._lsum = tuple(map(sum, zip(*self._imat)))
+            self._rsum = tuple(map(sum, zip(*self._mat)))
+        return self._lsum, self._rsum
 
     def inverse(self) -> "Element":
         if self._inv is None:
@@ -359,15 +371,14 @@ class CoxeterSystem:
 
     # -- geometric representation ---------------------------------------
 
-    def _apply_left(self, s: int, rows: list[list[float]]) -> None:
-        """rows <- S_s . rows (only row s changes)."""
-        old = rows[s]
-        new = [-v for v in old]
+    def _left_row(self, s: int, rows) -> list[float]:
+        """Row s of S_s . rows, the only row S_s changes on the left."""
+        new = [-v for v in rows[s]]
         for k, c in self._nbrs[s]:
             rk = rows[k]
             for j in range(self.rank):
                 new[j] += c * rk[j]
-        rows[s] = new
+        return new
 
     def _apply_right(self, s: int, rows: list[list[float]]) -> None:
         """rows <- rows . S_s (only column s feeds the bonded columns)."""
@@ -378,9 +389,21 @@ class CoxeterSystem:
                 row[k] += c * ms
             row[s] = -ms
 
-    def _sign_descents(self, mat) -> GenSet:
-        """Generators s whose column of mat, a root, has a negative sum."""
-        return frozenset(s for s, col in enumerate(zip(*mat)) if sum(col) < SIGN_TOL)
+    def _row_step(self, s: int, mat, sums) -> tuple[tuple, tuple]:
+        """S_s . mat, sharing every row but s, and its column sums: the old ones
+        plus the change of row s."""
+        old, new = mat[s], self._left_row(s, mat)
+        rows = list(mat)
+        rows[s] = tuple(new)
+        return tuple(rows), tuple(map(add, sums, map(sub, new, old)))
+
+    def _col_step(self, s: int, mat, sums) -> tuple[tuple, tuple]:
+        """mat . S_s and its column sums, sums . S_s: the sums move like a row."""
+        rows = [list(r) for r in mat]
+        rows.append(list(sums))
+        self._apply_right(s, rows)
+        sums = tuple(rows.pop())
+        return tuple(map(tuple, rows)), sums
 
     def _canonical(self, imat, length: int) -> Word:
         """Greedy ShortLex word from the inverse matrix of an element g.
@@ -424,34 +447,70 @@ class CoxeterSystem:
 
         (w s)^-1 = s w^-1 and (s w)^-1 = w^-1 s, so the side only picks the
         slots, the descents and which of the two matrices S_s multiplies on
-        which side.  When s ends w's word on that side, the rest of the word is
-        the product's: a factor of a ShortLex-least word is ShortLex-least.
+        which side; the root sums follow the matrices.  When s ends w's word on
+        that side, the rest of the word is the product's: a factor of a
+        ShortLex-least word is ShortLex-least.  Other right products read their
+        word off a neighbour (``_neighbour_word``); left products, and right
+        ones whose neighbour is not interned, peel it (``_canonical``).
         """
         slots = w._lmul if left else w._rmul
         hit = slots[s]
         if hit is not None:
             return hit
-        on_imat, on_mat = ((self._apply_right, self._apply_left) if left
-                           else (self._apply_left, self._apply_right))
+        on_imat, on_mat = (self._col_step, self._row_step) if left else (self._row_step, self._col_step)
+        lsum, rsum = w._root_sums()
         word, imat = w.word, None
         if word and word[0 if left else -1] == s:
             word = word[1:] if left else word[:-1]
         else:
-            if s in (w.left_descents if left else w.right_descents):
-                newlen = w.length - 1
-            else:
-                newlen = w.length + 1
-                if newlen > self.length_cap:
-                    raise self._too_long(newlen)
-            imat = self._moved(w._imat, s, on_imat)
-            word = self._canonical(imat, newlen)
+            newlen = w.length - 1 if (lsum if left else rsum)[s] < SIGN_TOL else w.length + 1
+            if newlen > self.length_cap:
+                raise self._too_long(newlen)
+            imat, lsum = on_imat(s, w._imat, lsum)
+            word = None if left else self._neighbour_word(w, s, lsum, newlen)
+            word = word or self._canonical(imat, newlen)
         out = self._elements.get(word)
         if out is None:
             if imat is None:
-                imat = self._moved(w._imat, s, on_imat)
-            out = self._intern(word, self._moved(w._mat, s, on_mat), imat)
+                imat, lsum = on_imat(s, w._imat, lsum)
+            mat, rsum = on_mat(s, w._mat, rsum)
+            out = self._intern(word, mat, imat)
+            out._lsum, out._rsum = lsum, rsum
         slots[s] = out
         (out._lmul if left else out._rmul)[s] = w
+        return out
+
+    def _neighbour_word(self, w: Element, s: int, lsum, length: int) -> Word | None:
+        """The word of x = w*s, s not ending w's word, off a neighbour with one
+        peel of x's left root sums lsum; None when the neighbour is unknown.
+
+        With t = min D_L(x) and a = w.word[0]: x = a*(tail(w)*s), and D_L(w)
+        is a subset of D_L(x) for an ascent s, a superset for a descent
+        (Björner-Brenti ch. 1 and Prop. 2.2.7).  So x = t*w when w = e or
+        t < a, x = t*(tail(w)*s) when t = a, and x = tail(w) when t > a.
+        """
+        for t, v in enumerate(lsum):
+            if v < SIGN_TOL:
+                break
+        else:
+            return None  # no left descent: _canonical raises
+        word = w.word
+        if not word or t < word[0]:
+            peel, near, out = t, w, (t,) + word
+        elif t == word[0]:
+            tail = self._elements.get(word[1:])
+            near = tail and tail._rmul[s]
+            if near is None:
+                return None
+            peel, out = t, (t,) + near.word
+        else:
+            peel, near, out = word[0], w, word[1:]
+        v, x = list(lsum), lsum[peel]
+        for k, c in self._nbrs[peel]:
+            v[k] += c * x
+        v[peel] = -x
+        if len(out) != length or max(map(abs, map(sub, v, near._root_sums()[0]))) > 1e-6:
+            raise InternalAssertionFailed("one-peel word does not match its neighbour's sums")
         return out
 
     def _walk(self, w: Element, letters: Word) -> Element:
@@ -468,21 +527,16 @@ class CoxeterSystem:
         rows, irows = [list(r) for r in w._mat], [list(r) for r in w._imat]
         length = w.length
         for s in letters[i + 1:]:
-            if sum(row[s] for row in rows) < SIGN_TOL:  # column sum, as in _sign_descents
+            if sum(row[s] for row in rows) < SIGN_TOL:  # root sum of s, as in right_descents
                 length -= 1
             else:
                 length += 1
                 if length > self.length_cap:
                     raise self._too_long(length)
             self._apply_right(s, rows)
-            self._apply_left(s, irows)
+            irows[s] = self._left_row(s, irows)
         imat = tuple(map(tuple, irows))
         return self._intern(self._canonical(imat, length), tuple(map(tuple, rows)), imat)
-
-    def _moved(self, mat, s: int, apply) -> tuple:
-        rows = [list(r) for r in mat]
-        apply(s, rows)
-        return tuple(map(tuple, rows))
 
     def _too_long(self, length: int) -> LengthCapExceeded:
         return LengthCapExceeded(f"element of length {length} exceeds length_cap={self.length_cap}")

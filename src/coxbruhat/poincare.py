@@ -26,7 +26,7 @@ from .parabolic import _require_min_rep, _split, check_chain, check_min_rep, min
 from .polynomial import IntPolynomial
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     """One coset's contribution: shift * factor = t^length(x) * P_shifted_max."""
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntPolynomial:
     """An integer polynomial in one variable t.
 

@@ -314,6 +314,11 @@ GOLDEN_CASES = {
     # the Billey-Postnikov test for every J of H3
     "bp_scan_H3.json": (
         "--type", "H3", "--format", "json", "bp-scan", "--w", "s3 s2 s1 s2 s1 s3 s2 s1"),
+    # 84 nodes and 283 cover edges of a D4 interval, coloured by coset
+    "hasse_D4.dot": (
+        "--type", "D4", "hasse", "--w", "s1 s2 s3 s4 s2 s1 s3 s2", "--J", "s1,s2,s4"),
+    # an affine lower interval of 144 elements
+    "interval_A~3.txt": ("--type", "A~3", "interval", "--w", "s1 s3 s4 s1 s3 s2 s4 s1 s3 s2"),
 }
 
 

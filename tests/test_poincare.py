@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from coxbruhat import (
@@ -216,3 +218,12 @@ def test_sweeps_raise_past_the_interval_cap(kind, word):
         with pytest.raises(IntervalTooLarge, match=message):
             call(w)
         call(at_cap)
+
+
+def test_slotted_terms_pickle():
+    S = coxeter_system("A3")
+    terms = decompose_poincare(S.element("s1 s2 s3 s2 s1"), [0, 1]).terms
+    assert not hasattr(terms[0], "__dict__")
+    back = pickle.loads(pickle.dumps(terms, pickle.HIGHEST_PROTOCOL))
+    assert [(t.x.word, t.shift, t.shifted_max.word, t.factor) for t in back] == [
+        (t.x.word, t.shift, t.shifted_max.word, t.factor) for t in terms]

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import pickle
+
+import pytest
+
 from coxbruhat import IntPolynomial
 
 
@@ -46,3 +50,11 @@ def test_str_ascending():
     assert str(IntPolynomial.t_power(3)) == "t^3"
     assert str(IntPolynomial.from_coeffs([1, 2, 2, 1])) == "1+2t+2t^2+t^3"
     assert str(IntPolynomial.from_coeffs([0, 1, 0, 5])) == "t+5t^3"
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_slotted_polynomial_pickles(protocol):
+    p = IntPolynomial.from_coeffs([1, 2, 0, 3])
+    assert not hasattr(p, "__dict__")
+    q = pickle.loads(pickle.dumps(p, protocol))
+    assert q == p and q.coeffs == (1, 2, 0, 3) and str(q) == "1+2t+3t^3"
