@@ -84,9 +84,8 @@ def lower_interval(w: Element) -> Interval:
 
     Enumerates the subwords of w's canonical word as a closure over prefixes,
     adding only ascents u*s: the closure is a lower ideal, so it has u*s < u.
-    Each letter multiplies the members by length, so tail(u)*s (tail(u) is u
-    without its first letter) is built before u*s and lends it its word
-    (``CoxeterSystem._step``).
+    Members are multiplied by length, so tail(u)*s (u without its first
+    letter, times s) is built before u*s and lends it its word.
     Raises IntervalTooLarge when length(w) exceeds the system's interval_cap.
     """
     sys = w.system
