@@ -2,8 +2,8 @@
 
 ``oracle._tits_reduce`` finds the ShortLex-least reduced word of any word by
 braid moves and deletions of equal adjacent letters alone, so it checks the
-greedy peel of ``CoxeterSystem._canonical`` and the sign test of
-``_sign_descents`` without sharing any arithmetic with them.  Every test
+greedy peel of ``CoxeterSystem._canonical`` and the sign test of the
+descent sets without sharing any arithmetic with them.  Every test
 builds its own system, so each element it meets is canonicalised afresh.
 """
 
