@@ -2,12 +2,13 @@
 
 ``leq`` decides u <= w by walking the standard descent chain: pick a left
 descent s of w; if s is also a left descent of u go on with (su, sw), else
-with (u, sw).  Lower intervals use the subword characterisation -- the
-interval below w is exactly the set of elements of subwords of one reduced
-word of w -- computed as a left-to-right closure so equal subwords are
-merged early.  Both are memoised per system.  Covers are lifted one descent
-at a time (Björner-Brenti, Prop. 2.2.7): along the prefixes of one reduced
-word, so the interval cap does not limit them, or along the interval's ranks.
+with (u, sw); it runs on u's root sums and builds no element.  Lower intervals
+use the subword characterisation -- the interval below w is exactly the set
+of elements of subwords of one reduced word of w -- computed as a
+left-to-right closure so equal subwords are merged early.  Both are memoised
+per system.  Covers are lifted one descent at a time (Björner-Brenti, Prop.
+2.2.7): along the prefixes of one reduced word, so the interval cap does not
+limit them, or along the interval's ranks.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 
-from .core import Element
+from .core import SIGN_TOL, Element
 from .errors import IntervalTooLarge
 from .polynomial import IntPolynomial
 
@@ -50,26 +51,29 @@ class Interval:
 
 
 def leq(u: Element, w: Element) -> bool:
-    """Bruhat order comparison u <= w."""
+    """Bruhat order comparison u <= w, memoised per top-level pair: the descent
+    chain reads w's word, each letter min D_L of what is left of w, against u's
+    left root sums, peeling a letter whose sum is negative as ``_canonical`` does."""
     sys = u.system
     sys._check_mine(w)
-    cache, path = sys._leq_cache, []
-    while True:
-        if u is w:
-            res = True
-        elif u.length > w.length:
-            res = False
-        elif u.length == 0:
-            res = True
-        else:
-            res = cache.get((u, w))
-        if res is not None:
-            break
-        path.append((u, w))  # every pair on the chain gets the one answer
-        s = min(w.left_descents)
-        w, u = sys._step(w, s, True), (sys._step(u, s, True) if s in u.left_descents else u)
-    for key in path:
-        cache[key] = res
+    if u is w or u.length == 0:
+        return True
+    if u.length >= w.length:
+        return False
+    res = sys._leq_cache.get((u, w))
+    if res is None:
+        v, left, nbrs, n = list(u._root_sums()[0]), u.length, sys._nbrs, w.length
+        for i, s in enumerate(w.word, 1):  # i letters of w read, n - i to go
+            x = v[s]
+            if x < SIGN_TOL:  # s is a left descent of what is left of u: peel it
+                for k, c in nbrs[s]:
+                    v[k] += c * x
+                v[s], left = -x, left - 1
+                if not left:
+                    break
+            elif left > n - i:
+                break
+        res = sys._leq_cache[u, w] = not left
     return res
 
 

@@ -393,12 +393,17 @@ class CoxeterSystem:
                 row[k] += c * ms
             row[s] = -ms
 
-    def _row_step(self, s: int, mat, sums) -> tuple[tuple, tuple]:
-        """S_s . mat, sharing every row but s, and its column sums, moved by row s's change."""
-        old, new = mat[s], self._left_row(s, mat)
-        rows = list(mat)
-        rows[s] = tuple(new)
-        return tuple(rows), tuple(map(add, sums, map(sub, new, old)))
+    def _row_sums(self, s: int, mat, sums) -> tuple[list, tuple]:
+        """Row s of S_s . mat, the only row S_s changes, and the column sums moved by its change."""
+        new = self._left_row(s, mat)
+        return new, tuple(map(add, sums, map(sub, new, mat[s])))
+
+    def _row_step(self, s: int, mat, sums, new=None) -> tuple[tuple, tuple]:
+        """S_s . mat, sharing every row but s, and its column sums; a row s
+        from ``_row_sums`` comes with its sums already moved."""
+        if new is None:
+            new, sums = self._row_sums(s, mat, sums)
+        return mat[:s] + (tuple(new),) + mat[s + 1:], sums
 
     def _col_step(self, s: int, mat, sums) -> tuple[tuple, tuple]:
         """mat . S_s and its column sums, sums . S_s: the sums move like a row."""
@@ -461,20 +466,25 @@ class CoxeterSystem:
             return hit
         on_imat, on_mat = (self._col_step, self._row_step) if left else (self._row_step, self._col_step)
         lsum, rsum = w._root_sums()
-        word, imat = w.word, None
+        word, imat, row = w.word, None, None
         if word and word[0 if left else -1] == s:
             word = word[1:] if left else word[:-1]
         else:
             newlen = w.length - 1 if (lsum if left else rsum)[s] < SIGN_TOL else w.length + 1
             if newlen > self.length_cap:
                 raise self._too_long(newlen)
-            imat, lsum = on_imat(s, w._imat, lsum)
-            word = None if left else self._neighbour_word(w, s, lsum, newlen)
-            word = word or self._canonical(imat, newlen)
+            if left:
+                imat, lsum = self._col_step(s, w._imat, lsum)
+                word = self._canonical(imat, newlen)
+            else:  # the inverse changes in row s only; its matrix waits for a new element
+                row, lsum = self._row_sums(s, w._imat, lsum)
+                word = (self._neighbour_word(w, s, lsum, newlen)
+                        or self._canonical(imat := self._row_step(s, w._imat, lsum, row)[0], newlen))
         out = self._elements.get(word)
         if out is None:
             if imat is None:
-                imat, lsum = on_imat(s, w._imat, lsum)
+                imat, lsum = (self._row_step(s, w._imat, lsum, row) if row
+                              else on_imat(s, w._imat, lsum))
             mat, rsum = on_mat(s, w._mat, rsum)
             out = self._intern(word, mat, imat)
             out._lsum, out._rsum = lsum, rsum
@@ -526,10 +536,10 @@ class CoxeterSystem:
                 break
         else:
             return w
-        rows, irows = [list(r) for r in w._mat], [list(r) for r in w._imat]
-        length = w.length
+        rows = [list(r) for r in w._mat] + [list(w._root_sums()[1])]  # sums move like a row
+        irows, sums, length = [list(r) for r in w._imat], rows[-1], w.length
         for s in letters[i + 1:]:
-            if sum(row[s] for row in rows) < SIGN_TOL:  # root sum of s, as in right_descents
+            if sums[s] < SIGN_TOL:  # root sum of s, as in right_descents
                 length -= 1
             else:
                 length += 1
@@ -537,8 +547,11 @@ class CoxeterSystem:
                     raise self._too_long(length)
             self._apply_right(s, rows)
             irows[s] = self._left_row(s, irows)
-        imat = tuple(map(tuple, irows))
-        return self._intern(self._canonical(imat, length), tuple(map(tuple, rows)), imat)
+        imat, rsum = tuple(map(tuple, irows)), tuple(rows.pop())
+        out = self._intern(self._canonical(imat, length), tuple(map(tuple, rows)), imat)
+        if out._lsum is None:
+            out._lsum, out._rsum = tuple(map(sum, zip(*imat))), rsum
+        return out
 
     def _too_long(self, length: int) -> LengthCapExceeded:
         return LengthCapExceeded(f"element of length {length} exceeds length_cap={self.length_cap}")

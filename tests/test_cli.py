@@ -311,6 +311,16 @@ GOLDEN_CASES = {
         " s1 s2 s1 s4 s1 s3 s4 s2 s2 s4 s3 s1 s4 s1 s2 s1",
         "--u", "s1 s4 s3 s1 s1 s3 s2 s4 s1 s2 s3 s3 s4 s3 s2 s4 s2 s1 s3 s4"
         " s1 s3 s2 s4 s4 s2 s1 s2 s4 s1 s3 s4 s2"),
+    # a False case: 56 letters reducing to length 44, 44 reducing to 38, and the
+    # descent chain runs the whole length of w
+    "leq_long_false.json": (
+        "--type", "A~4", "--format", "json", "leq",
+        "--w", "s2 s4 s3 s2 s2 s2 s5 s1 s2 s3 s4 s3 s2 s1 s5 s1 s1 s1 s2 s3"
+        " s4 s3 s2 s1 s5 s1 s2 s4 s3 s2 s5 s1 s2 s4 s3 s3 s3 s1 s2 s2"
+        " s1 s2 s5 s5 s5 s1 s2 s4 s3 s2 s5 s1 s2 s4 s3 s2",
+        "--u", "s2 s4 s3 s2 s1 s5 s1 s2 s2 s2 s3 s4 s3 s2 s1 s5 s1 s2 s4 s3"
+        " s2 s5 s1 s2 s4 s3 s2 s2 s2 s5 s4 s4 s1 s2 s4 s3 s2 s5 s1 s2"
+        " s4 s3 s2 s5"),
     # the Billey-Postnikov test for every J of H3
     "bp_scan_H3.json": (
         "--type", "H3", "--format", "json", "bp-scan", "--w", "s3 s2 s1 s2 s1 s3 s2 s1"),

@@ -90,6 +90,8 @@ def test_matrices_match_a_rebuild_along_the_canonical_word(name, max_length):
         w.inverse()
         system.multiply(u, w)
         system._step(u, rng.randrange(system.rank), left=True)
+        if w.word:  # a left down-step: leq builds no element
+            system._step(w, w.word[0], left=True)
     elems = system.elements(max_length)
     for _ in range(2000):
         a, b = rng.choice(elems), rng.choice(elems)
