@@ -403,7 +403,9 @@ class CoxeterSystem:
         from ``_row_sums`` comes with its sums already moved."""
         if new is None:
             new, sums = self._row_sums(s, mat, sums)
-        return mat[:s] + (tuple(new),) + mat[s + 1:], sums
+        rows = list(mat)
+        rows[s] = tuple(new)
+        return tuple(rows), sums
 
     def _col_step(self, s: int, mat, sums) -> tuple[tuple, tuple]:
         """mat . S_s and its column sums, sums . S_s: the sums move like a row."""
