@@ -138,7 +138,7 @@ class Element:
 
     def _root_sums(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Column sums of _imat and _mat, a root sum per generator: carried over
-        by ``_step``, added up on first use for the identity and walk results."""
+        by ``_step`` and ``_walk``, added up on first use for the identity."""
         if self._lsum is None:
             self._lsum = tuple(map(sum, zip(*self._imat)))
             self._rsum = tuple(map(sum, zip(*self._mat)))
