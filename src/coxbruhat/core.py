@@ -17,13 +17,12 @@ one sign, so a root is negative exactly when their sum is, and that sum is at
 least the largest coordinate in size (Björner-Brenti, *Combinatorics of
 Coxeter Groups*, ch. 4); negativity is read off these sums against a fixed
 tolerance (``SIGN_TOL``).  The identity is built from identity rows; every
-other element takes its matrices from the neighbour it was reached from, one
-generator step away (``w*s`` or ``s*w`` from ``w``), the generators included,
-or from a walk that interns only a word's end (``normalize``, ``multiply``);
-a step also derives the new element's root sums from the neighbour's.
-Against a rebuild along the canonical word the stored entries drifted by at
-most about 1e-11, far below the tolerance, over every element of H3, B4, F4
-and D5 and over reduced words of length up to 64 in A~2 to A~4 and H4.  For
+other element takes its inverse matrix and root sums from the neighbour one
+step away (``w*s`` or ``s*w`` from ``w``) or from a walk that interns only a
+word's end (``normalize``, ``multiply``), its own matrix on first left product
+(``Element._mat``).  Against a rebuild along the canonical word, entries drift
+at most about 1.4e-12 over all of H3, B4, F4, D5 and H4 and over reduced words
+of length 40-64 in A~2 to A~4 and H4 with their left products.  For
 infinite non-affine groups the tolerance does not hold: root coordinates grow
 exponentially, and random reduced walks in the all-5 rank-4 matrix, the
 ``(3, inf, 3)`` triangle group and the rank-3 universal group raise
@@ -96,7 +95,7 @@ class Element:
     """
 
     __slots__ = (
-        "system", "word", "length", "_mat", "_imat", "_lsum", "_rsum", "_left", "_right", "_inv",
+        "system", "word", "length", "_fmat", "_imat", "_lsum", "_rsum", "_left", "_right", "_inv",
         "_rmul", "_lmul",
     )
 
@@ -104,9 +103,9 @@ class Element:
         self.system = system
         self.word = word
         self.length = len(word)
-        self._mat = mat    # rows of the matrix of w: column j = w(alpha_j)
+        self._fmat = mat   # rows of the matrix of w, or None until _mat is first read
         self._imat = imat  # rows of the matrix of w^-1
-        self._lsum = self._rsum = None  # column sums of _imat and _mat, see _root_sums
+        self._lsum = self._rsum = None  # column sums of w^-1's and w's matrices, see _root_sums
         self._left: GenSet | None = None
         self._right: GenSet | None = None
         self._inv: Element | None = None
@@ -136,9 +135,25 @@ class Element:
             self._left = self.system._gensets.setdefault(d, d)
         return self._left
 
+    @property
+    def _mat(self):
+        """Rows of the matrix of w, built on first read (by a left product): mat(w s).S_s
+        off a right neighbour w s that holds one, else along the word from the identity."""
+        if self._fmat is None:
+            sys, rows, word = self.system, self.system.identity._fmat, self.word
+            for s, nb in enumerate(self._rmul):
+                if nb is not None and nb._fmat is not None:
+                    rows, word = nb._fmat, (s,)
+                    break
+            rows = [list(r) for r in rows]
+            for s in word:
+                sys._apply_right(s, rows)
+            self._fmat = tuple(map(tuple, rows))
+        return self._fmat
+
     def _root_sums(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """Column sums of _imat and _mat, a root sum per generator: carried over
-        by ``_step`` and ``_walk``, added up on first use for the identity."""
+        """Column sums of the matrices of w^-1 and w, a root sum per generator: carried
+        over by ``_step`` and ``_walk``, added up on first use for the identity."""
         if self._lsum is None:
             self._lsum = tuple(map(sum, zip(*self._imat)))
             self._rsum = tuple(map(sum, zip(*self._mat)))
@@ -384,14 +399,15 @@ class CoxeterSystem:
                 new[j] += c * rk[j]
         return new
 
-    def _apply_right(self, s: int, rows: list[list[float]]) -> None:
-        """rows <- rows . S_s (only column s feeds the bonded columns)."""
+    def _apply_right(self, s: int, rows: list[list[float]]) -> list[list[float]]:
+        """rows <- rows . S_s (only column s feeds the bonded columns); returns rows."""
         nbrs = self._nbrs[s]
         for row in rows:
             ms = row[s]
             for k, c in nbrs:
                 row[k] += c * ms
             row[s] = -ms
+        return rows
 
     def _row_sums(self, s: int, mat, sums) -> tuple[list, tuple]:
         """Row s of S_s . mat, the only row S_s changes, and the column sums moved by its change."""
@@ -454,19 +470,18 @@ class CoxeterSystem:
     def _step(self, w: Element, s: int, left: bool = False) -> Element:
         """w * s, or s * w when left, for a single generator s.
 
-        (w s)^-1 = s w^-1 and (s w)^-1 = w^-1 s, so the side only picks the
-        slots, the descents and which of the two matrices S_s multiplies on
-        which side; the root sums follow the matrices.  When s ends w's word on
-        that side, the rest of the word is the product's: a factor of a
-        ShortLex-least word is ShortLex-least.  Other right products read their
-        word off a neighbour (``_neighbour_word``); left products, and right
-        ones whose neighbour is not interned, peel it (``_canonical``).
+        (w s)^-1 = s w^-1 and (s w)^-1 = w^-1 s, so the side only picks the slots, the
+        descents and which matrix S_s multiplies on which side; the root sums follow, a
+        right product's like one more row of w's matrix, which only a left product reads
+        (``Element._mat``).  When s ends w's word on that side, the rest of the word is
+        the product's: a factor of a ShortLex-least word is ShortLex-least.  Other right
+        products read their word off a neighbour (``_neighbour_word``); left products,
+        and right ones whose neighbour is not interned, peel it (``_canonical``).
         """
         slots = w._lmul if left else w._rmul
         hit = slots[s]
         if hit is not None:
             return hit
-        on_imat, on_mat = (self._col_step, self._row_step) if left else (self._row_step, self._col_step)
         lsum, rsum = w._root_sums()
         word, imat, row = w.word, None, None
         if word and word[0 if left else -1] == s:
@@ -485,9 +500,10 @@ class CoxeterSystem:
         out = self._elements.get(word)
         if out is None:
             if imat is None:
-                imat, lsum = (self._row_step(s, w._imat, lsum, row) if row
-                              else on_imat(s, w._imat, lsum))
-            mat, rsum = on_mat(s, w._mat, rsum)
+                imat, lsum = (self._col_step(s, w._imat, lsum) if left
+                              else self._row_step(s, w._imat, lsum, row))
+            mat, rsum = (self._row_step(s, w._mat, rsum) if left
+                         else (None, tuple(self._apply_right(s, [list(rsum)])[0])))
             out = self._intern(word, mat, imat)
             out._lsum, out._rsum = lsum, rsum
         slots[s] = out
@@ -519,17 +535,14 @@ class CoxeterSystem:
             peel, out = t, (t,) + near.word
         else:
             peel, near, out = word[0], w, word[1:]
-        v, x = list(lsum), lsum[peel]
-        for k, c in self._nbrs[peel]:
-            v[k] += c * x
-        v[peel] = -x
+        v = self._apply_right(peel, [list(lsum)])[0]  # a peel moves sums like a row
         if len(out) != length or max(map(abs, map(sub, v, near._root_sums()[0]))) > 1e-6:
             raise InternalAssertionFailed("one-peel word does not match its neighbour's sums")
         return out
 
     def _walk(self, w: Element, letters: Word) -> Element:
         """w times checked letters: generator steps up to the first new element, then the
-        rest on one pair of mutable matrices, canonicalised once: no prefix's word is read."""
+        rest on a mutable inverse matrix and right root sums, canonicalised once."""
         known = len(self._elements)
         for i, s in enumerate(letters):
             hit = w._rmul[s]
@@ -538,8 +551,8 @@ class CoxeterSystem:
                 break
         else:
             return w
-        rows = [list(r) for r in w._mat] + [list(w._root_sums()[1])]  # sums move like a row
-        irows, sums, length = [list(r) for r in w._imat], rows[-1], w.length
+        sums = list(w._root_sums()[1])  # moves like a row of w's matrix
+        irows, rows, length = [list(r) for r in w._imat], (sums,), w.length
         for s in letters[i + 1:]:
             if sums[s] < SIGN_TOL:  # root sum of s, as in right_descents
                 length -= 1
@@ -549,10 +562,10 @@ class CoxeterSystem:
                     raise self._too_long(length)
             self._apply_right(s, rows)
             irows[s] = self._left_row(s, irows)
-        imat, rsum = tuple(map(tuple, irows)), tuple(rows.pop())
-        out = self._intern(self._canonical(imat, length), tuple(map(tuple, rows)), imat)
+        imat = tuple(map(tuple, irows))
+        out = self._intern(self._canonical(imat, length), None, imat)
         if out._lsum is None:
-            out._lsum, out._rsum = tuple(map(sum, zip(*imat))), rsum
+            out._lsum, out._rsum = tuple(map(sum, zip(*imat))), tuple(sums)
         return out
 
     def _too_long(self, length: int) -> LengthCapExceeded:

@@ -41,7 +41,7 @@ from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .bruhat import _check_interval_cap, leq
-from .core import Element, GenSet, demazure
+from .core import SIGN_TOL, Element, GenSet, demazure
 from .errors import EmptyIntersection, InternalAssertionFailed
 from .parabolic import _split, check_chain, check_min_rep
 
@@ -114,11 +114,12 @@ def _fold(w: Element, J: GenSet) -> Element:
 
 
 def _stabilizers(x: Element, J: GenSet) -> GenSet:
-    """Generators t with t x W_J = x W_J: by Deodhar's lemma, those with t x not in W^J."""
+    """Generators t with t x W_J = x W_J: those whose root x^-1(alpha_t) has support in J."""
     sys = x.system
     stab = sys._stab_cache.get((x, J))
-    if stab is None:
-        stab = frozenset(t for t in J | x.support if sys._step(x, t, True).right_descents & J)
+    if stab is None:  # column t of x's inverse matrix is x^-1(alpha_t)
+        rows = [r for j, r in enumerate(x._imat) if j not in J]
+        stab = frozenset(t for t in J | x.support if all(abs(r[t]) < SIGN_TOL for r in rows))
         sys._stab_cache[x, J] = stab
     return stab
 

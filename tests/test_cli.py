@@ -329,6 +329,10 @@ GOLDEN_CASES = {
         "--type", "D4", "hasse", "--w", "s1 s2 s3 s4 s2 s1 s3 s2", "--J", "s1,s2,s4"),
     # an affine lower interval of 144 elements
     "interval_A~3.txt": ("--type", "A~3", "interval", "--w", "s1 s3 s4 s1 s3 s2 s4 s1 s3 s2"),
+    # seven affine levels, two with a non-empty stabiliser; left products of walked elements
+    "max_coset_trace_A~3.txt": (
+        "--type", "A~3", "max-coset", "--w", "s2 s1 s3 s2 s1 s4 s1 s2 s3 s2 s1 s4 s1 s3",
+        "--x", "s3 s4 s1 s3 s2 s1 s4", "--J", "s1,s3", "--trace"),
 }
 
 

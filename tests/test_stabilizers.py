@@ -2,7 +2,9 @@
 
 A generator t stabilises x W_J exactly when x^-1 t x lies in W_J, i.e. its
 support is inside J.  The check multiplies the elements out and is
-independent of how the recursion finds the stabilisers.
+independent of how the recursion finds the stabilisers.  The recursion reads
+them off the root x^-1(alpha_t); the rule it used before, by Deodhar's lemma
+on the longer element t x, is kept here as a second reference.
 """
 
 from __future__ import annotations
@@ -10,11 +12,14 @@ from __future__ import annotations
 import pytest
 
 from coxbruhat import (
+    CoxeterSystem,
     InternalAssertionFailed,
+    coxeter_matrix,
     coxeter_system,
     max_in_coset,
     min_reps_leq,
 )
+from coxbruhat.coset_max import _stabilizers
 from coxbruhat.oracle import coset_max_candidates
 from conftest import all_gensets
 
@@ -72,3 +77,34 @@ def test_oracle_catches_a_wrong_memoised_stabilizer():
         except InternalAssertionFailed:
             pass
     assert wrong
+
+
+def _stabilizers_by_deodhar(x, J):
+    """t x W_J = x W_J exactly when t x is not in W^J (Deodhar's lemma); builds t x."""
+    sys = x.system
+    return frozenset(t for t in J | x.support if sys._step(x, t, True).right_descents & J)
+
+
+@pytest.mark.parametrize("kind, max_length", [
+    ("A4", None), ("B4", None), ("H3", None), ("D4", None), ("F4", None), ("I2:7", None),
+    ("A~2", 8), ("A~3", 6),
+])
+def test_root_stabilizers_match_deodhar_rule(kind, max_length):
+    system = coxeter_system(kind)
+    pairs = 0
+    for J in all_gensets(system):
+        for x in system.elements(max_length):
+            if not x.right_descents & J:  # x in W^J
+                assert _stabilizers(x, J) == _stabilizers_by_deodhar(x, J), (
+                    f"{kind}: x={x} J={system.genset_str(J)}")
+                pairs += 1
+    assert pairs
+
+
+def test_stabilizers_at_the_length_cap_build_no_longer_element():
+    system = CoxeterSystem(coxeter_matrix("A3"), length_cap=3)
+    w = system.element("s1 s2 s3")
+    result = max_in_coset(w, w, [])
+    assert str(result.maximum) == "s1 s2 s3"
+    assert result.shift is system.identity
+    assert [step.coset_stabilizers for step in result.trace] == [frozenset()] * 3
