@@ -74,16 +74,6 @@ def test_enumerated_matrices_from_their_neighbours(name, max_length):
     system = coxeter_system(name)
     elements = system.elements(max_length)
     _check_on_demand(system, elements)
-    assert len(_holders(system)) == len(elements)
-
-
-@pytest.mark.parametrize("name, max_length", [("B4", None), ("A~2", 12)])
-def test_enumerated_matrices_in_random_order(name, max_length):
-    """Read out of order, some elements have no neighbour with a matrix yet."""
-    system = coxeter_system(name)
-    elements = system.elements(max_length)
-    random.Random(3).shuffle(elements)
-    _check_on_demand(system, elements)
 
 
 def test_left_product_of_a_walk_result():
