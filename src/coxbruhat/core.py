@@ -16,20 +16,21 @@ the simple root of ``s`` to a negative root.  The coordinates of a root share
 one sign, so a root is negative exactly when their sum is, and that sum is at
 least the largest coordinate in size (Björner-Brenti, *Combinatorics of
 Coxeter Groups*, ch. 4); negativity is read off these sums against a fixed
-tolerance (``SIGN_TOL``).  The identity is built from identity rows; every
-other element takes its inverse matrix and root sums from the neighbour one
-step away (``w*s`` or ``s*w`` from ``w``) or from a walk that interns only a
-word's end (``normalize``, ``multiply``), its own matrix on first left product
-(``Element._mat``).  Against a rebuild along the canonical word, entries drift
-at most about 1.4e-12 over all of H3, B4, F4, D5 and H4 and over reduced words
-of length 40-64 in A~2 to A~4 and H4 with their left products.  For
-infinite non-affine groups the tolerance does not hold: root coordinates grow
-exponentially, and random reduced walks in the all-5 rank-4 matrix, the
-``(3, inf, 3)`` triangle group and the rank-3 universal group raise
+tolerance (``SIGN_TOL``).  The identity is built from identity rows.  A
+generator step (``w*s`` or ``s*w`` from ``w``) gives a new element its inverse
+matrix and root sums from ``w``; a walk (``normalize``, ``multiply``) steps to
+the first new element, carries only the two rows of root sums from there and
+interns the word's end with no matrix.  A matrix not yet held is built on first
+read (``Element._mat``, ``_imat``).  Against a rebuild along the canonical
+word, entries drift at most about 1.4e-12 over all of H3, B4, F4, D5 and H4 and
+over reduced words of length 40-64 in A~2 to A~4 and H4 with their left
+products.  For infinite non-affine groups the tolerance does not hold: root
+coordinates grow exponentially, and random reduced walks in the all-5 rank-4
+matrix, the ``(3, inf, 3)`` triangle group and the rank-3 universal group raise
 ``InternalAssertionFailed`` from lengths of about 14, 20 and 42 (the ROADMAP
 item "Exact word problem: retire SIGN_TOL" replaces the floats with exact
-arithmetic).  Canonical words are produced greedily by peeling off the
-smallest left descent, which needs only the column sums of the inverse matrix.
+arithmetic).  Canonical words are produced greedily by peeling off the smallest
+left descent, which needs only the left root sums (``_canonical``).
 A step dropping an end letter of a canonical word peels nothing (factors of
 ShortLex-least words are ShortLex-least); any other right product w*s reads
 its word off w, tail(w) (w without its first letter) or tail(w)*s, with one
@@ -95,19 +96,18 @@ class Element:
     """
 
     __slots__ = (
-        "system", "word", "length", "_fmat", "_imat", "_lsum", "_rsum", "_left", "_right", "_inv",
-        "_rmul", "_lmul",
+        "system", "word", "length", "_fmat", "_invmat", "_lsum", "_rsum", "_left", "_right", "_inv",
+        "_support", "_rmul", "_lmul",
     )
 
     def __init__(self, system: "CoxeterSystem", word: Word, mat, imat):
         self.system = system
         self.word = word
         self.length = len(word)
-        self._fmat = mat   # rows of the matrix of w, or None until _mat is first read
-        self._imat = imat  # rows of the matrix of w^-1
+        # rows of the matrices of w and w^-1, or None until _mat or _imat is first read
+        self._fmat, self._invmat = mat, imat
         self._lsum = self._rsum = None  # column sums of w^-1's and w's matrices, see _root_sums
-        self._left: GenSet | None = None
-        self._right: GenSet | None = None
+        self._left = self._right = self._support = None  # GenSets, interned on first read
         self._inv: Element | None = None
         self._rmul: list[Element | None] = [None] * system.rank  # _rmul[s] = self * s
         self._lmul: list[Element | None] = [None] * system.rank  # _lmul[s] = s * self
@@ -119,7 +119,10 @@ class Element:
     @property
     def support(self) -> GenSet:
         """The set of generator indices occurring in any reduced word."""
-        return frozenset(self.word)
+        if self._support is None:
+            d = frozenset(self.word)
+            self._support = self.system._gensets.setdefault(d, d)
+        return self._support
 
     @property
     def right_descents(self) -> GenSet:
@@ -137,19 +140,30 @@ class Element:
 
     @property
     def _mat(self):
-        """Rows of the matrix of w, built on first read (by a left product): mat(w s).S_s
-        off a right neighbour w s that holds one, else along the word from the identity."""
+        """Rows of the matrix of w, built on first read (by a left product)."""
         if self._fmat is None:
-            sys, rows, word = self.system, self.system.identity._fmat, self.word
-            for s, nb in enumerate(self._rmul):
-                if nb is not None and nb._fmat is not None:
-                    rows, word = nb._fmat, (s,)
-                    break
-            rows = [list(r) for r in rows]
-            for s in word:
-                sys._apply_right(s, rows)
-            self._fmat = tuple(map(tuple, rows))
+            self._fmat = self._built("_fmat", self._rmul, self.word)
         return self._fmat
+
+    @property
+    def _imat(self):
+        """Rows of the matrix of w^-1, built on first read of a walked element."""
+        if self._invmat is None:
+            self._invmat = self._built("_invmat", self._lmul, self.word[::-1])
+        return self._invmat
+
+    def _built(self, slot: str, nbrs, word: Word):
+        """mat(w) = mat(w s).S_s and mat(w^-1) = mat((s w)^-1).S_s: one step off a neighbour
+        in nbrs whose slot holds a matrix, else the identity's times S_s along word."""
+        rows = self.system.identity._fmat
+        for s, nb in enumerate(nbrs):
+            if nb is not None and getattr(nb, slot) is not None:
+                rows, word = getattr(nb, slot), (s,)
+                break
+        rows = [list(r) for r in rows]
+        for s in word:
+            self.system._apply_right(s, rows)
+        return tuple(map(tuple, rows))
 
     def _root_sums(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Column sums of the matrices of w^-1 and w, a root sum per generator: carried
@@ -290,7 +304,7 @@ class CoxeterSystem:
         # (x, shifted maximum) -> Term, poincare.decompose_poincare
         self._term_cache: dict[tuple[Element, Element], object] = {}
         self._all_gens: GenSet = frozenset(range(n))
-        self._gensets: dict[GenSet, GenSet] = {}  # one object per descent set
+        self._gensets: dict[GenSet, GenSet] = {}  # one object per descent set or support
 
         ident = tuple(tuple(1.0 if i == j else 0.0 for j in range(n)) for i in range(n))
         self.identity = self._intern((), ident, ident)
@@ -390,15 +404,6 @@ class CoxeterSystem:
 
     # -- geometric representation ---------------------------------------
 
-    def _left_row(self, s: int, rows) -> list[float]:
-        """Row s of S_s . rows, the only row S_s changes on the left."""
-        new = [-v for v in rows[s]]
-        for k, c in self._nbrs[s]:
-            rk = rows[k]
-            for j in range(self.rank):
-                new[j] += c * rk[j]
-        return new
-
     def _apply_right(self, s: int, rows: list[list[float]]) -> list[list[float]]:
         """rows <- rows . S_s (only column s feeds the bonded columns); returns rows."""
         nbrs = self._nbrs[s]
@@ -411,7 +416,11 @@ class CoxeterSystem:
 
     def _row_sums(self, s: int, mat, sums) -> tuple[list, tuple]:
         """Row s of S_s . mat, the only row S_s changes, and the column sums moved by its change."""
-        new = self._left_row(s, mat)
+        new = [-v for v in mat[s]]
+        for k, c in self._nbrs[s]:
+            rk = mat[k]
+            for j in range(self.rank):
+                new[j] += c * rk[j]
         return new, tuple(map(add, sums, map(sub, new, mat[s])))
 
     def _row_step(self, s: int, mat, sums, new=None) -> tuple[tuple, tuple]:
@@ -430,17 +439,17 @@ class CoxeterSystem:
         sums = tuple(rows.pop())
         return tuple(map(tuple, rows)), sums
 
-    def _canonical(self, imat, length: int) -> Word:
-        """Greedy ShortLex word from the inverse matrix of an element g.
+    def _canonical(self, lsum, length: int) -> Word:
+        """Greedy ShortLex word of an element g from its left root sums.
 
-        Only the column sums v[t] = <g^-1 alpha_t, rho> are kept, rho being 1
-        on every simple root: t is a left descent of g exactly when v[t] is
-        negative, and peeling t (g^-1 <- g^-1 S_t) changes v at t and its
-        bonded neighbours only.  v is all ones exactly when g = e, since W
-        acts simply transitively on chambers.
+        These are the column sums v[t] = <g^-1 alpha_t, rho> of g's inverse
+        matrix, rho being 1 on every simple root: t is a left descent of g
+        exactly when v[t] is negative, and peeling t (g^-1 <- g^-1 S_t)
+        changes v at t and its bonded neighbours only.  v is all ones exactly
+        when g = e, since W acts simply transitively on chambers.
         """
         nbrs = self._nbrs
-        v = [sum(col) for col in zip(*imat)]
+        v = list(lsum)
         out = []
         for _ in range(length):
             for t, x in enumerate(v):
@@ -458,7 +467,7 @@ class CoxeterSystem:
 
     # -- element construction and memoised generator products -----------
 
-    def _intern(self, word: Word, mat, imat) -> Element:
+    def _intern(self, word: Word, mat=None, imat=None) -> Element:
         """The element of a canonical word; a new one takes the given matrices."""
         el = self._elements.get(word)
         if el is None:
@@ -492,11 +501,10 @@ class CoxeterSystem:
                 raise self._too_long(newlen)
             if left:
                 imat, lsum = self._col_step(s, w._imat, lsum)
-                word = self._canonical(imat, newlen)
+                word = self._canonical(lsum, newlen)
             else:  # the inverse changes in row s only; its matrix waits for a new element
                 row, lsum = self._row_sums(s, w._imat, lsum)
-                word = (self._neighbour_word(w, s, lsum, newlen)
-                        or self._canonical(imat := self._row_step(s, w._imat, lsum, row)[0], newlen))
+                word = self._neighbour_word(w, s, lsum, newlen) or self._canonical(lsum, newlen)
         out = self._elements.get(word)
         if out is None:
             if imat is None:
@@ -541,8 +549,9 @@ class CoxeterSystem:
         return out
 
     def _walk(self, w: Element, letters: Word) -> Element:
-        """w times checked letters: generator steps up to the first new element, then the
-        rest on a mutable inverse matrix and right root sums, canonicalised once."""
+        """w times checked letters: generator steps up to the first new element p, then the
+        rest on p's right root sums (descents, length and cap per letter) and, in a second
+        pass, the left root sums of p*rest, canonicalised once; interned with no matrix."""
         known = len(self._elements)
         for i, s in enumerate(letters):
             hit = w._rmul[s]
@@ -551,21 +560,21 @@ class CoxeterSystem:
                 break
         else:
             return w
-        sums = list(w._root_sums()[1])  # moves like a row of w's matrix
-        irows, rows, length = [list(r) for r in w._imat], (sums,), w.length
-        for s in letters[i + 1:]:
+        rest, sums, length = letters[i + 1:], list(w._root_sums()[1]), w.length
+        for s in rest:
             if sums[s] < SIGN_TOL:  # root sum of s, as in right_descents
                 length -= 1
             else:
                 length += 1
                 if length > self.length_cap:
                     raise self._too_long(length)
-            self._apply_right(s, rows)
-            irows[s] = self._left_row(s, irows)
-        imat = tuple(map(tuple, irows))
-        out = self._intern(self._canonical(imat, length), None, imat)
+            self._apply_right(s, (sums,))  # moves like a row of p's matrix
+        lsum = [1.0] * self.rank
+        for s in reversed(w.word + rest):  # lsum(s*g) = lsum(g).S_s, a row again
+            self._apply_right(s, (lsum,))
+        out = self._intern(self._canonical(lsum, length))
         if out._lsum is None:
-            out._lsum, out._rsum = tuple(map(sum, zip(*imat))), tuple(sums)
+            out._lsum, out._rsum = tuple(lsum), tuple(sums)
         return out
 
     def _too_long(self, length: int) -> LengthCapExceeded:

@@ -333,6 +333,13 @@ GOLDEN_CASES = {
     "max_coset_trace_A~3.txt": (
         "--type", "A~3", "max-coset", "--w", "s2 s1 s3 s2 s1 s4 s1 s2 s3 s2 s1 s4 s1 s3",
         "--x", "s3 s4 s1 s3 s2 s1 s4", "--J", "s1,s3", "--trace"),
+    # 44 letters reducing to length 36; the left split steps from the walked w
+    "decompose_left_A~4.json": (
+        "--type", "A~4", "--format", "json", "decompose",
+        "--w", "s2 s3 s2 s5 s1 s3 s3 s2 s3 s4 s3 s2 s2 s2 s1 s5 s1 s2 s3 s5"
+        " s5 s4 s3 s2 s1 s5 s1 s2 s4 s3 s2 s5 s1 s1 s1 s2 s4 s3 s2 s5"
+        " s1 s4 s3 s5",
+        "--J", "s3,s4,s5", "--side", "left"),
 }
 
 

@@ -1,10 +1,12 @@
 """Elements built one generator step from a neighbour keep accurate matrices.
 
-Every element but the identity, the generators included, takes its matrix
-and inverse matrix from the element it was reached from (w*s or s*w from w).
-These tests rebuild both matrices along the canonical word, independently of
-the system's own matrix code, and check that the stored ones have not
-drifted.
+A generator step (w*s or s*w from w) gives a new element its inverse matrix
+from w, and a left step its matrix too.  Every other matrix is built on first
+read (``Element._mat``, ``Element._imat``): one step off a neighbour that
+holds one, or along the canonical word.  Walks (``normalize``, ``multiply``)
+intern their result with neither.  These tests read both matrices of every
+element, rebuild them along the canonical word, independently of the
+system's own matrix code, and check that they have not drifted.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The matrix of w is built only when a left product reads it.
 
-Right products and walks carry the inverse matrix and both root sums; the
-forward matrix ``Element._mat`` is built on first read, from a right
+Right products carry the inverse matrix and both root sums, walks only the
+sums; the forward matrix ``Element._mat`` is built on first read, from a right
 neighbour that holds one or along the canonical word.  These tests check that
 nothing else builds it, that the built matrix matches a rebuild along the
 canonical word, and that the right root sums carried without it agree with

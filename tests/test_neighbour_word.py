@@ -4,7 +4,7 @@
 (tail(w)*s).word or tail(w).word, t = min D_L(x), and checks one peel of x's
 root sums against that neighbour's.  Only a right product whose neighbour
 tail(w)*s is not interned, and every left product, peels its whole word off
-the inverse matrix (``_canonical``).  Each new element carries root sums
+its left root sums (``_canonical``).  Each new element carries root sums
 derived from its neighbour's.  These tests check the words and the carried
 sums against ``_canonical`` and against column sums added up afresh, count
 the fallbacks, and corrupt a neighbour's sums to see the check fire.
@@ -34,7 +34,7 @@ def _bad_elements(system, elements):
         lsum, rsum = el._root_sums()
         drift = max(abs(a - b) for sums, mat in ((lsum, el._imat), (rsum, el._mat))
                     for a, b in zip(sums, _column_sums(mat)))
-        if system._canonical(el._imat, el.length) != el.word or drift > TOL:
+        if system._canonical(_column_sums(el._imat), el.length) != el.word or drift > TOL:
             bad.append(el.word)
     return bad
 
@@ -50,9 +50,9 @@ def _count_peels(system):
     """Wrap the system's _canonical; the returned list gets one entry a call."""
     canonical, calls = system._canonical, []
 
-    def counted(imat, n):
+    def counted(lsum, n):
         calls.append(n)
-        return canonical(imat, n)
+        return canonical(lsum, n)
 
     system._canonical = counted
     return calls
@@ -115,7 +115,7 @@ def test_each_branch_takes_the_canonical_word(branch):
     x = system._step(w, s)
     assert (x.word, calls) == (word, [])
     del system._canonical
-    assert system._canonical(x._imat, x.length) == word
+    assert system._canonical(_column_sums(x._imat), x.length) == word
 
 
 @pytest.mark.parametrize("branch", sorted(BRANCHES))

@@ -1,11 +1,12 @@
 """Words become elements without canonicalising their prefixes.
 
 ``normalize`` and ``multiply`` step through known elements up to the first
-new one and then walk the rest of the word on one pair of matrices, so only
-the result is canonicalised.  ``_step`` reads the word of a product whose
-letter ends the canonical word on that side straight off that word.  These
-tests check both shortcuts against the per-letter generator step and against
-``_canonical`` itself.
+new one and then walk the rest of the word on two rows of root sums, so only
+the result is canonicalised, and it holds no matrix until one is read.
+``_step`` reads the word of a product whose letter ends the canonical word on
+that side straight off that word.  These tests check both shortcuts against
+the per-letter generator step and against ``_canonical`` itself, and the
+walked root sums against the matrices built later from the walked word.
 """
 
 from __future__ import annotations
@@ -14,9 +15,14 @@ import random
 
 import pytest
 
-from coxbruhat import LengthCapExceeded, bruhat, coxeter_system
+from coxbruhat import InternalAssertionFailed, LengthCapExceeded, bruhat, coxeter_system
 
 KINDS = ("A~2", "A~3", "H4", "F4", "B4", "I2:7")
+TOL = 1e-9
+
+
+def _column_sums(mat):
+    return [sum(col) for col in zip(*mat)]
 
 
 def _random_word(rng, system, lo, hi):
@@ -41,7 +47,7 @@ def test_every_interned_word_is_the_canonical_word_of_its_matrix(kind):
         w.inverse()
         u * w
     bad = [el.word for el in system._elements.values()
-           if system._canonical(el._imat, el.length) != el.word]
+           if system._canonical(_column_sums(el._imat), el.length) != el.word]
     assert not bad, f"{len(bad)} interned words differ, first {bad[:3]}"
 
 
@@ -86,9 +92,9 @@ def test_factor_steps_peel_nothing(kind):
     words = [system.normalize(_random_word(rng, system, 20, 40)).word for _ in range(20)]
     canonical, calls = system._canonical, []
 
-    def counted(imat, length):
+    def counted(lsum, length):
         calls.append(length)
-        return canonical(imat, length)
+        return canonical(lsum, length)
 
     system._canonical = counted
     steps = []
@@ -100,4 +106,75 @@ def test_factor_steps_peel_nothing(kind):
     del system._canonical
     for out, word in steps:
         assert out.word == word
-        assert system._canonical(out._imat, out.length) == word
+        assert system._canonical(_column_sums(out._imat), out.length) == word
+
+
+def _reduced_word(kind, length, seed):
+    """A random reduced word of the given length, built on a system of its own."""
+    system, rng = coxeter_system(kind), random.Random(seed)
+    w = system.identity
+    while w.length < length:
+        w = system._step(w, rng.choice([s for s in range(system.rank) if s not in w.right_descents]))
+    return w.word
+
+
+def test_a_walked_element_holds_no_inverse_matrix():
+    system = coxeter_system("A~3")
+    w = system.normalize(_reduced_word("A~3", 60, seed=2) + (1, 1))
+    assert w.length == 60 and w._invmat is None and w._fmat is None
+    w.left_descents, w.right_descents, w.support, bruhat.leq(system.generator(0), w)
+    assert w._invmat is None
+    assert len(w._imat) == system.rank and w._invmat is not None
+
+
+def _check_walked(w):
+    """w holds no matrix yet, and its walked root sums match the column sums of
+    the matrices then built from its walked word."""
+    assert w._invmat is None and w._fmat is None
+    lsum, rsum = w._root_sums()
+    drift = max(abs(a - b) for sums, mat in ((lsum, w._imat), (rsum, w._mat))
+                for a, b in zip(sums, _column_sums(mat)))
+    assert drift <= TOL, f"{w}: drift {drift}"
+
+
+@pytest.mark.parametrize("kind, lo, hi", [
+    ("A~2", 40, 64), ("A~3", 40, 64), ("A~4", 40, 64), ("H4", 40, 60), ("F4", 16, 24)])
+def test_walked_sums_match_the_matrices_of_the_walked_word(kind, lo, hi):
+    rng = random.Random(kind)
+    for seed in range(8):
+        system = coxeter_system(kind)
+        w = system.normalize(_reduced_word(kind, rng.randint(lo, hi), seed))
+        # b undoes the last 12 letters of w, so w*b is shorter than its letters
+        b = system.normalize(w.word[:-13:-1] + _random_word(rng, system, 0, 8))
+        _check_walked(w)
+        _check_walked(b)
+        ab = w * b  # a walk from a walked start
+        _check_walked(ab)
+        assert ab.length < w.length + b.length
+
+
+def test_a_corrupted_sum_vector_fails_the_peel():
+    system = coxeter_system("H3")
+    for w in system.elements()[1:60]:
+        lsum = w._root_sums()[0]
+        for t in range(system.rank):
+            corrupted = lsum[:t] + (lsum[t] + 0.01,) + lsum[t + 1:]
+            with pytest.raises(InternalAssertionFailed):
+                system._canonical(corrupted, w.length)
+
+
+@pytest.mark.parametrize("kind", ["A~3", "H4", "F4"])
+def test_steps_from_a_walked_element_match_a_fold(kind):
+    folded = coxeter_system(kind)
+    for seed in range(4):
+        walked, word = coxeter_system(kind), _reduced_word(kind, 20, seed) + (0, 0)
+        w = walked.normalize(word)
+        assert w._invmat is None
+        for s in range(walked.rank):
+            for left in (False, True):
+                out = walked._step(w, s, left)
+                ref = _fold(folded, (s,) + word if left else word + (s,))
+                assert out.word == ref.word
+                drift = max(abs(a - b) for m, r in ((out._imat, ref._imat), (out._mat, ref._mat))
+                            for row, ref_row in zip(m, r) for a, b in zip(row, ref_row))
+                assert drift <= TOL, f"{kind}: {out}"
