@@ -62,7 +62,7 @@ def leq(u: Element, w: Element) -> bool:
         return False
     res = sys._leq_cache.get((u, w))
     if res is None:
-        v, left, nbrs, n = list(u._root_sums()[0]), u.length, sys._nbrs, w.length
+        v, left, nbrs, n = list(u._lsum), u.length, sys._nbrs, w.length
         for i, s in enumerate(w.word, 1):  # i letters of w read, n - i to go
             x = v[s]
             if x < SIGN_TOL:  # s is a left descent of what is left of u: peel it

@@ -16,25 +16,28 @@ the simple root of ``s`` to a negative root.  The coordinates of a root share
 one sign, so a root is negative exactly when their sum is, and that sum is at
 least the largest coordinate in size (Björner-Brenti, *Combinatorics of
 Coxeter Groups*, ch. 4); negativity is read off these sums against a fixed
-tolerance (``SIGN_TOL``).  The identity is built from identity rows.  A
+tolerance (``SIGN_TOL``).  An element holds one matrix, that of w^-1, and two
+rows of root sums, the column sums of the matrices of w^-1 and w, which give its
+left and right descents.  The identity has identity rows and all-one sums.  A
 generator step (``w*s`` or ``s*w`` from ``w``) gives a new element its inverse
-matrix and root sums from ``w``; a walk (``normalize``, ``multiply``) steps to
-the first new element, carries only the two rows of root sums from there and
-interns the word's end with no matrix.  A matrix not yet held is built on first
-read (``Element._mat``, ``_imat``).  Against a rebuild along the canonical
-word, entries drift at most about 1.4e-12 over all of H3, B4, F4, D5 and H4 and
-over reduced words of length 40-64 in A~2 to A~4 and H4 with their left
-products.  For infinite non-affine groups the tolerance does not hold: root
-coordinates grow exponentially, and random reduced walks in the all-5 rank-4
-matrix, the ``(3, inf, 3)`` triangle group and the rank-3 universal group raise
-``InternalAssertionFailed`` from lengths of about 14, 20 and 42 (the ROADMAP
-item "Exact word problem: retire SIGN_TOL" replaces the floats with exact
-arithmetic).  Canonical words are produced greedily by peeling off the smallest
-left descent, which needs only the left root sums (``_canonical``).
-A step dropping an end letter of a canonical word peels nothing (factors of
-ShortLex-least words are ShortLex-least); any other right product w*s reads
-its word off w, tail(w) (w without its first letter) or tail(w)*s, with one
-peel checked against that neighbour (``CoxeterSystem._neighbour_word``).
+matrix and both sum rows from ``w``; a walk (``normalize``, ``multiply``) steps
+to the first new element, carries only the two sum rows from there and interns
+the word's end with no matrix, built on first read (``Element._imat``).
+Against a rebuild along the canonical word, inverse-matrix entries drift at
+most about 7e-13 and root sums 3.2e-12 over all of H3, B4, F4, D5 and H4 and
+over reduced words of length 40-64 in A~2 to A~4 and H4, built by right steps,
+left steps or a walk, with their left products.  For infinite non-affine groups
+the tolerance does not hold: root coordinates grow exponentially, and random
+reduced walks in the all-5 rank-4 matrix, the ``(3, inf, 3)`` triangle group and
+the rank-3 universal group raise ``InternalAssertionFailed`` from lengths of
+about 13, 20 and 42 (the ROADMAP item "Exact word problem: retire SIGN_TOL"
+replaces the floats with exact arithmetic).  Canonical words are produced
+greedily by peeling off the smallest left descent, which needs only the left
+root sums (``_canonical``).  A step dropping an end letter of a canonical word
+peels nothing (factors of ShortLex-least words are ShortLex-least); any other
+right product w*s reads its word off w, tail(w) (w without its first letter) or
+tail(w)*s, with one peel checked against that neighbour
+(``CoxeterSystem._neighbour_word``).
 
 Systems intern their elements: per system each group element exists as one
 immutable Element object, built only by ``CoxeterSystem._intern``.  Equality
@@ -96,17 +99,18 @@ class Element:
     """
 
     __slots__ = (
-        "system", "word", "length", "_fmat", "_invmat", "_lsum", "_rsum", "_left", "_right", "_inv",
+        "system", "word", "length", "_invmat", "_lsum", "_rsum", "_left", "_right", "_inv",
         "_support", "_rmul", "_lmul",
     )
 
-    def __init__(self, system: "CoxeterSystem", word: Word, mat, imat):
+    def __init__(self, system: "CoxeterSystem", word: Word, imat, lsum, rsum):
         self.system = system
         self.word = word
         self.length = len(word)
-        # rows of the matrices of w and w^-1, or None until _mat or _imat is first read
-        self._fmat, self._invmat = mat, imat
-        self._lsum = self._rsum = None  # column sums of w^-1's and w's matrices, see _root_sums
+        self._invmat = imat  # the one matrix held, w^-1's rows; None until _imat is read
+        # plus two sum rows, <w^-1 alpha_t, rho> and <w alpha_t, rho> per t: the column
+        # sums of the matrices of w^-1 and of w, the latter never built
+        self._lsum, self._rsum = lsum, rsum
         self._left = self._right = self._support = None  # GenSets, interned on first read
         self._inv: Element | None = None
         self._rmul: list[Element | None] = [None] * system.rank  # _rmul[s] = self * s
@@ -127,51 +131,33 @@ class Element:
     @property
     def right_descents(self) -> GenSet:
         if self._right is None:
-            d = frozenset(s for s, v in enumerate(self._root_sums()[1]) if v < SIGN_TOL)
+            d = frozenset(s for s, v in enumerate(self._rsum) if v < SIGN_TOL)
             self._right = self.system._gensets.setdefault(d, d)
         return self._right
 
     @property
     def left_descents(self) -> GenSet:
         if self._left is None:
-            d = frozenset(s for s, v in enumerate(self._root_sums()[0]) if v < SIGN_TOL)
+            d = frozenset(s for s, v in enumerate(self._lsum) if v < SIGN_TOL)
             self._left = self.system._gensets.setdefault(d, d)
         return self._left
 
     @property
-    def _mat(self):
-        """Rows of the matrix of w, built on first read (by a left product)."""
-        if self._fmat is None:
-            self._fmat = self._built("_fmat", self._rmul, self.word)
-        return self._fmat
-
-    @property
     def _imat(self):
-        """Rows of the matrix of w^-1, built on first read of a walked element."""
+        """Rows of the matrix of w^-1, built on first read of a walked element:
+        mat(w^-1) = mat((s w)^-1).S_s off a left neighbour s*w holding one, else the
+        identity's rows times S_s along the reversed word."""
         if self._invmat is None:
-            self._invmat = self._built("_invmat", self._lmul, self.word[::-1])
+            rows, word = self.system.identity._invmat, self.word[::-1]
+            for s, nb in enumerate(self._lmul):
+                if nb is not None and nb._invmat is not None:
+                    rows, word = nb._invmat, (s,)
+                    break
+            rows = [list(r) for r in rows]
+            for s in word:
+                self.system._apply_right(s, rows)
+            self._invmat = tuple(map(tuple, rows))
         return self._invmat
-
-    def _built(self, slot: str, nbrs, word: Word):
-        """mat(w) = mat(w s).S_s and mat(w^-1) = mat((s w)^-1).S_s: one step off a neighbour
-        in nbrs whose slot holds a matrix, else the identity's times S_s along word."""
-        rows = self.system.identity._fmat
-        for s, nb in enumerate(nbrs):
-            if nb is not None and getattr(nb, slot) is not None:
-                rows, word = getattr(nb, slot), (s,)
-                break
-        rows = [list(r) for r in rows]
-        for s in word:
-            self.system._apply_right(s, rows)
-        return tuple(map(tuple, rows))
-
-    def _root_sums(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """Column sums of the matrices of w^-1 and w, a root sum per generator: carried
-        over by ``_step`` and ``_walk``, added up on first use for the identity."""
-        if self._lsum is None:
-            self._lsum = tuple(map(sum, zip(*self._imat)))
-            self._rsum = tuple(map(sum, zip(*self._mat)))
-        return self._lsum, self._rsum
 
     def inverse(self) -> "Element":
         if self._inv is None:
@@ -307,7 +293,7 @@ class CoxeterSystem:
         self._gensets: dict[GenSet, GenSet] = {}  # one object per descent set or support
 
         ident = tuple(tuple(1.0 if i == j else 0.0 for j in range(n)) for i in range(n))
-        self.identity = self._intern((), ident, ident)
+        self.identity = self._intern((), ident, (1.0,) * n, (1.0,) * n)
         self._gens = tuple(self._step(self.identity, i) for i in range(n))
 
     # -- public construction / parsing ---------------------------------
@@ -467,31 +453,35 @@ class CoxeterSystem:
 
     # -- element construction and memoised generator products -----------
 
-    def _intern(self, word: Word, mat=None, imat=None) -> Element:
-        """The element of a canonical word; a new one takes the given matrices."""
+    def _intern(self, word: Word, imat, lsum, rsum) -> Element:
+        """The element of a canonical word; a new one takes the given inverse matrix
+        (None to build it on first read) and root sums."""
         el = self._elements.get(word)
         if el is None:
             # setdefault keeps the first object stored, so a racing caller
             # cannot leave two objects for one element.
-            el = self._elements.setdefault(word, Element(self, word, mat, imat))
+            el = self._elements.setdefault(word, Element(self, word, imat, lsum, rsum))
         return el
 
     def _step(self, w: Element, s: int, left: bool = False) -> Element:
         """w * s, or s * w when left, for a single generator s.
 
         (w s)^-1 = s w^-1 and (s w)^-1 = w^-1 s, so the side only picks the slots, the
-        descents and which matrix S_s multiplies on which side; the root sums follow, a
-        right product's like one more row of w's matrix, which only a left product reads
-        (``Element._mat``).  When s ends w's word on that side, the rest of the word is
-        the product's: a factor of a ShortLex-least word is ShortLex-least.  Other right
-        products read their word off a neighbour (``_neighbour_word``); left products,
-        and right ones whose neighbour is not interned, peel it (``_canonical``).
+        descents and on which side S_s multiplies w's inverse matrix, the one matrix an
+        element holds.  The left root sums are its column sums.  A right product's right
+        root sums move like one more row of w's matrix; a left product's read column s of
+        w's inverse matrix, w^-1 alpha_s, since the representation's form B is W-invariant:
+        <s w alpha_t, rho> = <w alpha_t, rho> - 2B(alpha_t, w^-1 alpha_s).  When s ends
+        w's word on that side, the rest of the word is the product's: a factor of a
+        ShortLex-least word is ShortLex-least.  Other right products read their word off
+        a neighbour (``_neighbour_word``); left products, and right ones whose neighbour
+        is not interned, peel it (``_canonical``).
         """
         slots = w._lmul if left else w._rmul
         hit = slots[s]
         if hit is not None:
             return hit
-        lsum, rsum = w._root_sums()
+        lsum, rsum = w._lsum, w._rsum
         word, imat, row = w.word, None, None
         if word and word[0 if left else -1] == s:
             word = word[1:] if left else word[:-1]
@@ -510,10 +500,13 @@ class CoxeterSystem:
             if imat is None:
                 imat, lsum = (self._col_step(s, w._imat, lsum) if left
                               else self._row_step(s, w._imat, lsum, row))
-            mat, rsum = (self._row_step(s, w._mat, rsum) if left
-                         else (None, tuple(self._apply_right(s, [list(rsum)])[0])))
-            out = self._intern(word, mat, imat)
-            out._lsum, out._rsum = lsum, rsum
+            if left:
+                col, nbrs = [r[s] for r in w._imat], self._nbrs
+                rsum = tuple(r - 2.0 * col[t] + sum(c * col[k] for k, c in nbrs[t])
+                             for t, r in enumerate(rsum))
+            else:
+                rsum = tuple(self._apply_right(s, [list(rsum)])[0])
+            out = self._intern(word, imat, lsum, rsum)
         slots[s] = out
         (out._lmul if left else out._rmul)[s] = w
         return out
@@ -544,7 +537,7 @@ class CoxeterSystem:
         else:
             peel, near, out = word[0], w, word[1:]
         v = self._apply_right(peel, [list(lsum)])[0]  # a peel moves sums like a row
-        if len(out) != length or max(map(abs, map(sub, v, near._root_sums()[0]))) > 1e-6:
+        if len(out) != length or max(map(abs, map(sub, v, near._lsum))) > 1e-6:
             raise InternalAssertionFailed("one-peel word does not match its neighbour's sums")
         return out
 
@@ -560,7 +553,7 @@ class CoxeterSystem:
                 break
         else:
             return w
-        rest, sums, length = letters[i + 1:], list(w._root_sums()[1]), w.length
+        rest, sums, length = letters[i + 1:], list(w._rsum), w.length
         for s in rest:
             if sums[s] < SIGN_TOL:  # root sum of s, as in right_descents
                 length -= 1
@@ -572,10 +565,7 @@ class CoxeterSystem:
         lsum = [1.0] * self.rank
         for s in reversed(w.word + rest):  # lsum(s*g) = lsum(g).S_s, a row again
             self._apply_right(s, (lsum,))
-        out = self._intern(self._canonical(lsum, length))
-        if out._lsum is None:
-            out._lsum, out._rsum = tuple(lsum), tuple(sums)
-        return out
+        return self._intern(self._canonical(lsum, length), None, tuple(lsum), tuple(sums))
 
     def _too_long(self, length: int) -> LengthCapExceeded:
         return LengthCapExceeded(f"element of length {length} exceeds length_cap={self.length_cap}")

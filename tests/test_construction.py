@@ -1,12 +1,14 @@
-"""Elements built one generator step from a neighbour keep accurate matrices.
+"""Elements built one generator step from a neighbour keep accurate matrices and sums.
 
-A generator step (w*s or s*w from w) gives a new element its inverse matrix
-from w, and a left step its matrix too.  Every other matrix is built on first
-read (``Element._mat``, ``Element._imat``): one step off a neighbour that
-holds one, or along the canonical word.  Walks (``normalize``, ``multiply``)
-intern their result with neither.  These tests read both matrices of every
-element, rebuild them along the canonical word, independently of the
-system's own matrix code, and check that they have not drifted.
+An element holds one matrix, that of w^-1, and two rows of root sums.  A
+generator step (w*s or s*w from w) gives a new element its inverse matrix and
+both sum rows from w; a left step reads its right root sums off column s of
+w's inverse matrix.  Walks (``normalize``, ``multiply``) intern their result
+with its two sum rows only, and its inverse matrix is built on first read
+(``Element._imat``): one step off a neighbour that holds one, or along the
+canonical word.  These tests rebuild the matrices of w and w^-1 along the
+canonical word, independently of the system's own matrix code, and check that
+the inverse matrix and the column sums of both have not drifted.
 """
 
 from __future__ import annotations
@@ -51,13 +53,17 @@ def _rebuilt(system, gens, word):
     return mat, imat
 
 
-def _worst_drift(system):
+def _worst_drift(system, elements):
+    """Largest entry of an inverse matrix, or carried root sum (``_lsum``, ``_rsum``),
+    off the rebuilt matrices or their column sums."""
     gens = _generator_matrices(system)
     worst = 0.0
-    for w in system._elements.values():
-        for stored, ref in zip((w._mat, w._imat), _rebuilt(system, gens, w.word)):
-            for row, ref_row in zip(stored, ref):
-                worst = max(worst, max(abs(x - y) for x, y in zip(row, ref_row)))
+    for w in elements:
+        mat, imat = _rebuilt(system, gens, w.word)
+        for row, ref_row in zip(w._imat, imat):
+            worst = max(worst, max(abs(x - y) for x, y in zip(row, ref_row)))
+        for sums, ref in ((w._lsum, imat), (w._rsum, mat)):
+            worst = max(worst, max(abs(x - sum(col)) for x, col in zip(sums, zip(*ref))))
     return worst
 
 
@@ -101,5 +107,26 @@ def test_matrices_match_a_rebuild_along_the_canonical_word(name, max_length):
         system.multiply(a, b.inverse())
 
     assert made == {("right", "up"), ("right", "down"), ("left", "up"), ("left", "down")}
-    assert _worst_drift(system) < TOL
+    assert _worst_drift(system, system._elements.values()) < TOL
+
+
+def _reduced_word(system, length, seed):
+    """A reduced word of the given length, by random right ascents."""
+    rng = random.Random(seed)
+    w = system.identity
+    while w.length < length:
+        w = system._step(w, rng.choice([s for s in range(system.rank) if s not in w.right_descents]))
+    return w.word
+
+
+def test_walk_result_and_its_left_products_match_a_rebuild():
+    """A walk result has no neighbour, so its inverse matrix is built along its word;
+    its left products read their right root sums off that matrix."""
+    word = _reduced_word(coxeter_system("A~3"), 60, seed=5)
+    system = coxeter_system("A~3")
+    w = system.normalize(word)
+    assert w.length == 60 and w._invmat is None and w._rmul == [None] * system.rank
+    left = [system._step(w, s, left=True) for s in range(system.rank)]
+    assert left == [system.normalize((s,) + word) for s in range(system.rank)]
+    assert _worst_drift(system, [w, *left]) < TOL
 

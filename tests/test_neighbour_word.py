@@ -6,8 +6,9 @@ root sums against that neighbour's.  Only a right product whose neighbour
 tail(w)*s is not interned, and every left product, peels its whole word off
 its left root sums (``_canonical``).  Each new element carries root sums
 derived from its neighbour's.  These tests check the words and the carried
-sums against ``_canonical`` and against column sums added up afresh, count
-the fallbacks, and corrupt a neighbour's sums to see the check fire.
+sums against ``_canonical`` and against the column sums of the inverse matrix
+and of a rebuilt matrix of the element, count the fallbacks, and corrupt a
+neighbour's sums to see the check fire.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 
 from coxbruhat import InternalAssertionFailed, coxeter_system
 from coxbruhat.bruhat import lower_interval
+from test_construction import _generator_matrices, _product
 
 TOL = 1e-9
 
@@ -26,13 +28,21 @@ def _column_sums(mat):
     return [sum(col) for col in zip(*mat)]
 
 
+def _matrix_of(gens, word, memo):
+    """The matrix of a word, multiplied out one generator at a time off its prefix."""
+    if word not in memo:
+        memo[word] = _product(_matrix_of(gens, word[:-1], memo), gens[word[-1]])
+    return memo[word]
+
+
 def _bad_elements(system, elements):
-    """Elements whose word is not the peel of their matrix, or whose carried
-    root sums stray from their matrices' column sums."""
-    bad = []
+    """Elements whose word is not the peel of their inverse matrix, or whose carried
+    root sums stray from the column sums of that matrix and of a rebuilt matrix."""
+    bad, gens = [], _generator_matrices(system)
+    memo = {(): [[1.0 if i == j else 0.0 for j in range(system.rank)] for i in range(system.rank)]}
     for el in elements:
-        lsum, rsum = el._root_sums()
-        drift = max(abs(a - b) for sums, mat in ((lsum, el._imat), (rsum, el._mat))
+        drift = max(abs(a - b) for sums, mat in ((el._lsum, el._imat),
+                                                 (el._rsum, _matrix_of(gens, el.word, memo)))
                     for a, b in zip(sums, _column_sums(mat)))
         if system._canonical(_column_sums(el._imat), el.length) != el.word or drift > TOL:
             bad.append(el.word)
@@ -88,7 +98,7 @@ def test_affine_intervals_rarely_fall_back_to_the_full_peel(kind):
 
 def _corrupted(el, index, by=0.01):
     """Shift one of el's carried left root sums."""
-    lsum, _ = el._root_sums()
+    lsum = el._lsum
     el._lsum = lsum[:index] + (lsum[index] + by,) + lsum[index + 1:]
 
 

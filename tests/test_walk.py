@@ -2,11 +2,13 @@
 
 ``normalize`` and ``multiply`` step through known elements up to the first
 new one and then walk the rest of the word on two rows of root sums, so only
-the result is canonicalised, and it holds no matrix until one is read.
+the result is canonicalised, and it holds no inverse matrix until one is
+read.
 ``_step`` reads the word of a product whose letter ends the canonical word on
 that side straight off that word.  These tests check both shortcuts against
 the per-letter generator step and against ``_canonical`` itself, and the
-walked root sums against the matrices built later from the walked word.
+walked root sums against the inverse matrix built later from the walked word
+and against a rebuild of the element's matrix.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import random
 import pytest
 
 from coxbruhat import InternalAssertionFailed, LengthCapExceeded, bruhat, coxeter_system
+from test_construction import _generator_matrices, _rebuilt
 
 KINDS = ("A~2", "A~3", "H4", "F4", "B4", "I2:7")
 TOL = 1e-9
@@ -121,18 +124,22 @@ def _reduced_word(kind, length, seed):
 def test_a_walked_element_holds_no_inverse_matrix():
     system = coxeter_system("A~3")
     w = system.normalize(_reduced_word("A~3", 60, seed=2) + (1, 1))
-    assert w.length == 60 and w._invmat is None and w._fmat is None
+    assert w.length == 60 and w._invmat is None
     w.left_descents, w.right_descents, w.support, bruhat.leq(system.generator(0), w)
     assert w._invmat is None
     assert len(w._imat) == system.rank and w._invmat is not None
 
 
+def _rebuilt_matrix(w):
+    """The matrix of w, multiplied out along its word by the tests' own code."""
+    return _rebuilt(w.system, _generator_matrices(w.system), w.word)[0]
+
+
 def _check_walked(w):
-    """w holds no matrix yet, and its walked root sums match the column sums of
-    the matrices then built from its walked word."""
-    assert w._invmat is None and w._fmat is None
-    lsum, rsum = w._root_sums()
-    drift = max(abs(a - b) for sums, mat in ((lsum, w._imat), (rsum, w._mat))
+    """w holds no inverse matrix yet, and its walked root sums match the column sums
+    of the inverse matrix then built from its walked word and of w's rebuilt matrix."""
+    assert w._invmat is None
+    drift = max(abs(a - b) for sums, mat in ((w._lsum, w._imat), (w._rsum, _rebuilt_matrix(w)))
                 for a, b in zip(sums, _column_sums(mat)))
     assert drift <= TOL, f"{w}: drift {drift}"
 
@@ -156,7 +163,7 @@ def test_walked_sums_match_the_matrices_of_the_walked_word(kind, lo, hi):
 def test_a_corrupted_sum_vector_fails_the_peel():
     system = coxeter_system("H3")
     for w in system.elements()[1:60]:
-        lsum = w._root_sums()[0]
+        lsum = w._lsum
         for t in range(system.rank):
             corrupted = lsum[:t] + (lsum[t] + 0.01,) + lsum[t + 1:]
             with pytest.raises(InternalAssertionFailed):
@@ -175,6 +182,7 @@ def test_steps_from_a_walked_element_match_a_fold(kind):
                 out = walked._step(w, s, left)
                 ref = _fold(folded, (s,) + word if left else word + (s,))
                 assert out.word == ref.word
-                drift = max(abs(a - b) for m, r in ((out._imat, ref._imat), (out._mat, ref._mat))
+                drift = max(abs(a - b) for m, r in ((out._imat, ref._imat),
+                                                    ([out._rsum], [_column_sums(_rebuilt_matrix(ref))]))
                             for row, ref_row in zip(m, r) for a, b in zip(row, ref_row))
                 assert drift <= TOL, f"{kind}: {out}"
