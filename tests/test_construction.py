@@ -109,24 +109,3 @@ def test_matrices_match_a_rebuild_along_the_canonical_word(name, max_length):
     assert made == {("right", "up"), ("right", "down"), ("left", "up"), ("left", "down")}
     assert _worst_drift(system, system._elements.values()) < TOL
 
-
-def _reduced_word(system, length, seed):
-    """A reduced word of the given length, by random right ascents."""
-    rng = random.Random(seed)
-    w = system.identity
-    while w.length < length:
-        w = system._step(w, rng.choice([s for s in range(system.rank) if s not in w.right_descents]))
-    return w.word
-
-
-def test_walk_result_and_its_left_products_match_a_rebuild():
-    """A walk result has no neighbour, so its inverse matrix is built along its word;
-    its left products read their right root sums off that matrix."""
-    word = _reduced_word(coxeter_system("A~3"), 60, seed=5)
-    system = coxeter_system("A~3")
-    w = system.normalize(word)
-    assert w.length == 60 and w._invmat is None and w._rmul == [None] * system.rank
-    left = [system._step(w, s, left=True) for s in range(system.rank)]
-    assert left == [system.normalize((s,) + word) for s in range(system.rank)]
-    assert _worst_drift(system, [w, *left]) < TOL
-

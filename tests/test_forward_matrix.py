@@ -1,11 +1,13 @@
-"""The matrix of w is built only when a left product reads it.
+"""Without a forward matrix, the sums carried in its place stay accurate.
 
-Right products carry the inverse matrix and both root sums, walks only the
-sums; the forward matrix ``Element._mat`` is built on first read, from a right
-neighbour that holds one or along the canonical word.  These tests check that
-nothing else builds it, that the built matrix matches a rebuild along the
-canonical word, and that the right root sums carried without it agree with
-its column sums.
+An element holds one matrix, that of w^-1 (``Element._imat``), and two rows of
+root sums; the matrix of w is never built.  Its column sums, the right root
+sums ``_rsum``, are carried: a right product moves them like one more row of
+w's matrix, a left product reads them off column s of w's inverse matrix.
+These tests check, against matrices of w and w^-1 rebuilt along the canonical
+word, that the inverse matrix and both sum rows have not drifted: on
+enumerated elements, each made one step off a shorter neighbour, and on a walk
+result, which has no neighbour, and its left products.
 """
 
 from __future__ import annotations
@@ -15,9 +17,7 @@ import random
 import pytest
 
 from coxbruhat import coxeter_system
-from test_construction import _generator_matrices, _rebuilt
-
-TOL = 1e-9
+from test_construction import TOL, _worst_drift
 
 
 def _reduced_word(system, length, seed):
@@ -29,59 +29,38 @@ def _reduced_word(system, length, seed):
     return w.word
 
 
-def _holders(system):
-    return [w for w in system._elements.values() if w._fmat is not None]
-
-
-def _check_on_demand(system, elements):
-    """Each element's matrix, built on first read, against a rebuild; and its right sums."""
-    gens = _generator_matrices(system)
-    for w in elements:
-        mat = w._mat
-        ref = _rebuilt(system, gens, w.word)[0]
-        drift = max(abs(x - y) for row, ref_row in zip(mat, ref) for x, y in zip(row, ref_row))
-        assert drift <= TOL, f"{w}: drift {drift}"
-        sums = [sum(col) for col in zip(*mat)]
-        assert max(abs(x - y) for x, y in zip(w._root_sums()[1], sums)) <= TOL, str(w)
-
-
-def test_enumeration_builds_no_forward_matrix():
-    system = coxeter_system("H3")
-    assert len(system.elements()) == 120
-    assert _holders(system) == [system.identity]
-
-
-def test_normalize_builds_no_forward_matrix():
+def _walk_result():
     word = _reduced_word(coxeter_system("A~3"), 60, seed=5)
     system = coxeter_system("A~3")
     w = system.normalize(word)
     assert w.length == 60
-    assert _holders(system) == [system.identity]
+    return system, word, w
 
 
 def test_walk_result_matrix_along_its_word():
-    """A walk result has no neighbour, so its matrix is built along its canonical word."""
-    word = _reduced_word(coxeter_system("A~3"), 60, seed=5)
-    system = coxeter_system("A~3")
-    w = system.normalize(word)
-    assert w._rmul == [None] * system.rank
-    _check_on_demand(system, [w])
+    """A walk result has no neighbour, so its inverse matrix is built along its word."""
+    system, _, w = _walk_result()
+    assert w._invmat is None and w._rmul == [None] * system.rank
+    assert _worst_drift(system, [w]) < TOL
 
 
 @pytest.mark.parametrize("name, max_length", [("B4", None), ("F4", None), ("A~2", 12)])
 def test_enumerated_matrices_from_their_neighbours(name, max_length):
-    """In ShortLex order each element finds a shorter right neighbour with a matrix."""
+    """In ShortLex order each element is a step off a shorter neighbour, which gives
+    it its inverse matrix and both sum rows."""
     system = coxeter_system(name)
     elements = system.elements(max_length)
-    _check_on_demand(system, elements)
+    assert all(w._invmat is not None for w in elements)
+    assert _worst_drift(system, elements) < TOL
 
 
 def test_left_product_of_a_walk_result():
-    word = _reduced_word(coxeter_system("A~3"), 60, seed=5)
-    system = coxeter_system("A~3")
-    w = system.normalize(word)
+    """A left product reads its right root sums off the walk result's inverse matrix."""
+    system, word, w = _walk_result()
+    left = []
     for s in range(system.rank):
         sw = system._step(w, s, left=True)
         assert sw is system.normalize((s,) + word)
-        assert sw._fmat is not None
-    _check_on_demand(system, [system._step(w, s, left=True) for s in range(system.rank)])
+        assert sw._invmat is not None
+        left.append(sw)
+    assert _worst_drift(system, [w, *left]) < TOL
