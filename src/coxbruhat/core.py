@@ -281,7 +281,6 @@ class CoxeterSystem:
         self._elements: dict[Word, Element] = {}
         self._leq_cache: dict[tuple[Element, Element], bool] = {}
         self._interval_cache: dict[Element, object] = {}
-        self._cosetmax_cache: dict[tuple[Element, Element, GenSet], object] = {}
         self._stab_cache: dict[tuple[Element, GenSet], GenSet] = {}
         # (w, J) -> (x -> coset maximum, checked x -> shift or None), coset_max._shift_table
         self._shift_tables: dict[tuple[Element, GenSet], tuple] = {}
@@ -313,11 +312,10 @@ class CoxeterSystem:
         return J
 
     def clear_caches(self) -> None:
-        """Drop the leq, interval, coset-maximum, stabiliser, shift-table, split
-        and Poincare-term memos; elements stay interned."""
-        for memo in (self._leq_cache, self._interval_cache, self._cosetmax_cache,
-                     self._stab_cache, self._shift_tables, self._split_cache,
-                     self._term_cache):
+        """Drop the leq, interval, stabiliser, shift-table, split and
+        Poincare-term memos; elements stay interned."""
+        for memo in (self._leq_cache, self._interval_cache, self._stab_cache,
+                     self._shift_tables, self._split_cache, self._term_cache):
             memo.clear()
 
     def gen_index(self, name: str) -> int:

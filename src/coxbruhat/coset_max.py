@@ -4,7 +4,7 @@ For w in W, J a subset of the generators and x a minimal representative
 below w, the set [e, w] meet x W_J has a unique maximal element q, and
 [e, w] meet x W_J is isomorphic as a graded poset to [e, x^-1 q].  A single
 query (:func:`max_in_coset`, and ``max-coset --trace``) computes q by the
-paper's recursion on the length of x:
+paper's recursion on the length of x, unrolled into one loop:
 
 * base x = e: q is the Demazure fold of the J-letters of the canonical word
   of w, taken in order;
@@ -16,9 +16,11 @@ paper's recursion on the length of x:
 
 The chosen s is the smallest left descent of v, but the result is
 independent of the choice; :func:`.oracle.coset_max_candidates` explores
-every choice and is used for verification.  Results, and the coset
-stabilizers of each (x, J), are memoised per system; a result rebuilds its
-per-level trace through memo hits on first read.
+every choice and is used for verification.  The loop walks down the levels
+(w, x) -> (v, s x) to x = e, then folds the maxima back up, checking each
+level's maximum against its coset; the same pass records the levels the
+result's trace reads.  Results are not memoised; the coset stabilizers of
+each (x, J) are, per system.
 
 Sweeps over every x (:func:`shifted_max_set` and the Poincare
 decompositions) read the whole table x -> q instead, built without the
@@ -35,13 +37,13 @@ suffix is memoised per (w, J).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .bruhat import _check_interval_cap, leq
-from .core import SIGN_TOL, Element, GenSet, demazure
+from .core import SIGN_TOL, Element, GenSet, _fold_letters
 from .errors import EmptyIntersection, InternalAssertionFailed
 from .parabolic import _split, check_chain, check_min_rep
 
@@ -75,17 +77,14 @@ class CosetMaxResult:
     maximum: Element
     shift: Element
     K: GenSet | None = None
+    # the TraceStep fields of each level, from x down to x = e; empty for a
+    # relative maximum read off a shift table
+    _levels: tuple[tuple, ...] = field(default=(), repr=False, compare=False)
 
     @cached_property
     def trace(self) -> tuple[TraceStep, ...]:
         """One step per level of the recursion, from x down to x = e."""
-        w, x, J = self.w, self.x, self.K or self.J
-        steps = []
-        while x.length:
-            step = TraceStep(*_level(w, x, J))
-            steps.append(step)
-            w, x = step.v, x.system._step(x, step.s, True)
-        return tuple(steps)
+        return tuple(TraceStep(*fields) for fields in self._levels)
 
 
 @dataclass(frozen=True)
@@ -105,12 +104,7 @@ def max_in_parabolic(w: Element, J: Iterable[int]) -> Element:
 
 def _fold(w: Element, J: GenSet) -> Element:
     """max_in_parabolic for a checked J."""
-    sys = w.system
-    q = sys.identity
-    for s in w.word:
-        if s in J and s not in q.right_descents:
-            q = sys._step(q, s)
-    return q
+    return _fold_letters(w.system.identity, [s for s in w.word if s in J])
 
 
 def _stabilizers(x: Element, J: GenSet) -> GenSet:
@@ -138,17 +132,39 @@ def max_in_coset(w: Element, x: Element, J: Iterable[int]) -> CosetMaxResult:
 
 
 def _max_in_coset(w: Element, x: Element, J: GenSet) -> CosetMaxResult:
-    """max_in_coset for a triple the caller has checked: x in W^J, x <= w."""
-    sys = w.system
-    key = (w, x, J)
-    hit = sys._cosetmax_cache.get(key)
-    if hit is not None:
-        return hit
+    """max_in_coset for a triple the caller has checked: x in W^J, x <= w.
 
-    q = _fold(w, J) if x.length == 0 else _level(w, x, J)[-1]
-    res = CosetMaxResult(w=w, x=x, J=J, maximum=q, shift=_checked_shift(w, x, q, J))
-    sys._cosetmax_cache[key] = res
-    return res
+    Walks down the levels (w, x) -> (v, s x) to x = e, then folds the maxima
+    back up from the base; every level's maximum is checked to lie in its coset.
+    """
+    sys = w.system
+    down = []
+    wi, xi = w, x
+    while xi.length:
+        dl = xi.left_descents
+        v, u = _split(wi, sys._all_gens - dl, left=True)  # wi = u * v
+        if not v.left_descents:
+            raise InternalAssertionFailed("suffix of the split has no left descent")
+        s = min(v.left_descents)
+        sx = sys._step(xi, s, True)
+        if sx.right_descents & J:
+            raise InternalAssertionFailed("s*x left the minimal representatives")
+        if not leq(sx, v):
+            raise InternalAssertionFailed("s*x is not below the suffix of the split")
+        stab = _stabilizers(xi, J)
+        down.append((wi, xi, dl, u, v, stab, s, _fold(u, stab)))
+        wi, xi = v, sx
+    q = _fold(wi, J)
+    shift = _checked_shift(wi, xi, q, J)
+    up = []
+    for wi, xi, dl, u, v, stab, s, prefix_max in reversed(down):
+        sq = sys._step(q, s, True)
+        if sq.length <= q.length:
+            raise InternalAssertionFailed("s shortened the recursive maximum")
+        outer = _fold_letters(prefix_max, sq.word) if prefix_max.length else sq  # e * sq = sq
+        up.append((xi, dl, u, v, stab, s, prefix_max, q, outer))
+        q, shift = outer, _checked_shift(wi, xi, outer, J)
+    return CosetMaxResult(w=w, x=x, J=J, maximum=q, shift=shift, _levels=tuple(reversed(up)))
 
 
 def _checked_shift(w: Element, x: Element, q: Element, J: GenSet) -> Element:
@@ -159,28 +175,6 @@ def _checked_shift(w: Element, x: Element, q: Element, J: GenSet) -> Element:
     if not (shift.support <= J) or q.length != x.length + shift.length:
         raise InternalAssertionFailed("shift is not a length-additive W_J factor")
     return shift
-
-
-def _level(w: Element, x: Element, J: GenSet) -> tuple:
-    """The fields of the TraceStep for x != e; the inner maximum comes from the memo."""
-    sys = w.system
-    dl = x.left_descents
-    v, u = _split(w, sys._all_gens - dl, left=True)  # w = u * v
-    stab = _stabilizers(x, J)
-    if not v.left_descents:
-        raise InternalAssertionFailed("suffix of the split has no left descent")
-    s = min(v.left_descents)
-    prefix_max = _fold(u, stab)
-    sx = sys._step(x, s, True)
-    if sx.right_descents & J:
-        raise InternalAssertionFailed("s*x left the minimal representatives")
-    if not leq(sx, v):
-        raise InternalAssertionFailed("s*x is not below the suffix of the split")
-    suffix_max = _max_in_coset(v, sx, J).maximum
-    sq = sys._step(suffix_max, s, True)
-    if sq.length <= suffix_max.length:
-        raise InternalAssertionFailed("s shortened the recursive maximum")
-    return x, dl, u, v, stab, s, prefix_max, suffix_max, demazure(prefix_max, sq)
 
 
 def coset_shift(w: Element, x: Element, J: Iterable[int]) -> Element:
@@ -252,22 +246,22 @@ def max_in_relative_coset(
     for (w, x, K); the shift x^-1 q lies in W^J meet W_K.
     """
     J, K = check_chain(w, J, K)
-    K = _validate(w, x, K)
-    return _max_in_relative_coset(w, x, _max_in_coset(w, x, K).maximum, J, K)
+    res = _max_in_coset(w, x, _validate(w, x, K))
+    return _max_in_relative_coset(w, x, res.maximum, J, K, res._levels)
 
 
 def _max_in_relative_coset(
-    w: Element, x: Element, q_K: Element, J: GenSet, K: GenSet
+    w: Element, x: Element, q_K: Element, J: GenSet, K: GenSet, levels: tuple = ()
 ) -> CosetMaxResult:
     """The relative maximum from q_K, the maximum of [e, w] meet x W_K, for a
-    checked chain J inside K and x in W^K below w."""
+    checked chain J inside K and x in W^K below w; levels are q_K's."""
     q = _split(q_K, J)[0]
     v, shift = _split(q, K)  # q lies in x W_K, so this is x * shift exactly when v is x
     if v is not x or not (shift.support <= K) or (shift.right_descents & J):
         raise InternalAssertionFailed("relative shift is not in W^J meet W_K")
     if q.length != x.length + shift.length or not leq(q, w) or (q.right_descents & J):
         raise InternalAssertionFailed("relative maximum is not a J-minimal element of [e,w]")
-    return CosetMaxResult(w=w, x=x, J=J, maximum=q, shift=shift, K=K)
+    return CosetMaxResult(w=w, x=x, J=J, maximum=q, shift=shift, K=K, _levels=levels)
 
 
 def relative_shift(w: Element, x: Element, J: Iterable[int], K: Iterable[int]) -> Element:

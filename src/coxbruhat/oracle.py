@@ -7,7 +7,7 @@ interval and scans for maxima instead of recursing; word equality is decided
 by bounded braid-move/deletion rewriting instead of the geometric
 representation.  :func:`coset_max_candidates` instead reruns the fast
 recursion under every choice it could make, with coset stabilisers taken
-from their definition rather than from the recursion's memo.  :func:`verify`
+from their definition rather than from the recursion's root test.  :func:`verify`
 runs the fast paths against these oracles and counts the disagreements.
 
 The memo tables live in each system's instance dictionary: their keys and
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from operator import attrgetter
 from typing import Iterable
 
 from .bruhat import leq, lower_interval
@@ -86,7 +87,8 @@ def brute_coset_max(w: Element, x: Element, J: Iterable[int]) -> Element:
     w.system._check_mine(x)
     J = check_min_rep(x, J)
     xinv = x.inverse()
-    members = [y for y in sorted(brute_interval(w), reverse=True) if (xinv * y).support <= J]
+    members = [y for y in sorted(brute_interval(w), key=attrgetter("length", "word"), reverse=True)
+               if (xinv * y).support <= J]
     if not members:
         raise EmptyIntersection(f"[e,{w}] meet {x}W_J is empty")
     maxima = [y for y in members if not any(y is not z and leq(y, z) for z in members)]

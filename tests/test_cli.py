@@ -340,6 +340,13 @@ GOLDEN_CASES = {
         " s5 s4 s3 s2 s1 s5 s1 s2 s4 s3 s2 s5 s1 s1 s1 s2 s4 s3 s2 s5"
         " s1 s4 s3 s5",
         "--J", "s3,s4,s5", "--side", "left"),
+    # 34 affine levels, two with a non-empty stabiliser, as a JSON trace
+    "max_coset_trace_A~2.json": (
+        "--type", "A~2", "--format", "json", "max-coset", "--trace", "--J", "s2,s3",
+        "--w", "s1 s2 s1 s3 s1 s2 s1 s3 s1 s2 s1 s3 s1 s2 s1 s3 s1 s2 s1 s3"
+        " s1 s2 s1 s3 s1 s2 s1 s3 s1 s2 s1 s3 s1 s2 s1 s3 s2 s1 s3 s2",
+        "--x", "s1 s2 s1 s3 s1 s2 s1 s3 s1 s2 s1 s3 s1 s2 s1 s3 s1 s2 s1 s3"
+        " s1 s2 s1 s3 s1 s2 s1 s3 s1 s2 s1 s3 s2 s1"),
 }
 
 

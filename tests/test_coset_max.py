@@ -236,7 +236,9 @@ def test_memoization(a3):
     w = a3.element("s1 s2 s3 s2 s1")
     J = frozenset((0, 1))
     x = a3.element("s2 s3")
-    assert max_in_coset(w, x, J) is max_in_coset(w, x, J)
+    first, again = max_in_coset(w, x, J), max_in_coset(w, x, J)
+    assert again.maximum is first.maximum and again.shift is first.shift  # interned elements
+    assert again == first
 
 
 def test_errors(a3):

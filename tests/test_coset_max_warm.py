@@ -1,6 +1,6 @@
-"""max_in_coset and shifted_max_set with a warm memo.
+"""max_in_coset and shifted_max_set with warm elements.
 
-Every form of J reaches the same memoised result, the shift taken from the
+Every form of J gives the same maximum and shift, the shift taken from the
 decomposition that checks the coset equals x^-1 q, and the representatives
 of shifted_max_set come in ShortLex order.
 """
@@ -20,7 +20,8 @@ def test_every_form_of_j_gives_the_memoised_result():
     res = max_in_coset(w, x, frozenset((0, 1)))
     for J in ([0, 1], (1, 0), {0, 1}, frozenset((0, 1))):
         got = max_in_coset(w, x, J)
-        assert got is res
+        assert got.maximum is res.maximum and got.shift is res.shift
+        assert got == res
         assert got.J == frozenset((0, 1))
 
 

@@ -1,18 +1,22 @@
-"""The recursion trace of a coset maximum, rebuilt on first read.
+"""The recursion trace of a coset maximum.
 
-The memo holds results without traces; reading ``.trace`` walks the
-recursion again from (w, x, J) down to x = e through memo hits.  These tests
-check that the rebuilt levels chain together, match a fresh system's and the
-relative variant's, and that a sweep that reads no trace stores none.
-The sweeps call max_in_coset on every triple: the shift tables of
-shifted_max_set do not use the recursion memo.
+The loop that finds the maximum walks down the levels (w, x) -> (v, s x) to
+x = e and folds the maxima back up; the same pass gives the trace.  These
+tests check that the levels chain together, match a fresh system's and the
+relative variant's, and that a long x needs no recursion.
 """
 
 from __future__ import annotations
 
+import random
+import sys
+
 import pytest
 
 from coxbruhat import (
+    CoxeterSystem,
+    coset_rep,
+    coxeter_matrix,
     coxeter_system,
     is_min_rep,
     max_in_coset,
@@ -32,12 +36,6 @@ def _triples(system):
                 yield w, x, J
 
 
-def _sweep(system):
-    """Warm the recursion memos: max_in_coset over every (w, x, J)."""
-    for w, x, J in _triples(system):
-        max_in_coset(w, x, J)
-
-
 def _words(trace):
     """A trace with every element replaced by its word, comparable across systems."""
     return [tuple(getattr(v, "word", v) for v in vars(step).values()) for step in trace]
@@ -45,27 +43,28 @@ def _words(trace):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_trace_read_after_a_sweep_chains_and_equals_a_fresh_systems(kind):
-    swept = coxeter_system(kind)
-    _sweep(swept)
-    entries = len(swept._cosetmax_cache)
+    """Sweep every triple and read each result's trace."""
+    system = coxeter_system(kind)
     fresh = coxeter_system(kind)
-    for w, x, J in _triples(swept):
+    for w, x, J in _triples(system):
         res = max_in_coset(w, x, J)
-        trace = res.trace
-        assert trace is res.trace
-        assert len(trace) == x.length
+        _check_chain(res)
         fw, fx = fresh.normalize(w.word), fresh.normalize(x.word)
-        assert _words(trace) == _words(max_in_coset(fw, fx, J).trace), (kind, str(w), str(x), J)
-        if not trace:
-            continue
-        assert trace[0].x is x
-        assert trace[0].maximum is res.maximum
-        for outer, inner in zip(trace, trace[1:]):
-            assert outer.suffix_max is inner.maximum
-            assert inner.x is swept._step(outer.x, outer.s, left=True)
-        last = trace[-1]
-        assert last.suffix_max is max_in_parabolic(last.v, J)
-    assert len(swept._cosetmax_cache) == entries  # every level was a memo hit
+        assert _words(res.trace) == _words(max_in_coset(fw, fx, J).trace), (kind, str(w), str(x), J)
+
+
+def _check_chain(res):
+    trace = res.trace
+    assert len(trace) == res.x.length
+    if not trace:
+        return
+    assert trace[0].x is res.x
+    assert trace[0].maximum is res.maximum
+    for outer, inner in zip(trace, trace[1:]):
+        assert outer.suffix_max is inner.maximum
+        assert inner.x is res.x.system._step(outer.x, outer.s, left=True)
+    last = trace[-1]
+    assert last.suffix_max is max_in_parabolic(last.v, res.J)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -74,19 +73,22 @@ def test_relative_trace_is_the_trace_over_k(kind):
     gensets = all_gensets(system)
     for w in system.elements():
         for K in gensets:
-            for J in (J for J in gensets if J <= K and is_min_rep(w, J)):
-                for x in min_reps_leq(w, K):
-                    rel = max_in_relative_coset(w, x, J, K)
-                    assert rel.trace == max_in_coset(w, x, K).trace
+            chain = [J for J in gensets if J <= K and is_min_rep(w, J)]
+            for x in min_reps_leq(w, K) if chain else ():
+                trace = max_in_coset(w, x, K).trace
+                for J in chain:
+                    assert max_in_relative_coset(w, x, J, K).trace == trace
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_a_sweep_that_reads_no_trace_stores_none(kind):
-    system = coxeter_system(kind)
-    _sweep(system)
-    results = list(system._cosetmax_cache.values())
-    assert results
-    assert not [r for r in results if "trace" in vars(r)]
-    read = max(results, key=lambda r: r.x.length)
-    assert read.trace
-    assert [r for r in results if "trace" in vars(r)] == [read]
+def test_a_long_x_needs_no_recursion():
+    """More levels than a recursion of two frames per level fits in the default stack."""
+    system = CoxeterSystem(coxeter_matrix("A~2"), length_cap=700)
+    rng = random.Random(2)
+    w = system.identity
+    while w.length < 600:
+        s = rng.randrange(system.rank)
+        if s not in w.right_descents:
+            w = system._step(w, s)
+    x = coset_rep(w, [0])
+    assert x.length > sys.getrecursionlimit() // 2
+    _check_chain(max_in_coset(w, x, [0]))
