@@ -16,22 +16,23 @@ the simple root of ``s`` to a negative root.  The coordinates of a root share
 one sign, so a root is negative exactly when their sum is, and that sum is at
 least the largest coordinate in size (Björner-Brenti, *Combinatorics of
 Coxeter Groups*, ch. 4); negativity is read off these sums against a fixed
-tolerance (``SIGN_TOL``).  An element holds one matrix, that of w^-1, and two
+tolerance (``SIGN_TOL``).  An element holds no matrix: only its word and two
 rows of root sums, the column sums of the matrices of w^-1 and w, which give its
-left and right descents.  The identity has identity rows and all-one sums.  A
-generator step (``w*s`` or ``s*w`` from ``w``) gives a new element its inverse
-matrix and both sum rows from ``w``; a walk (``normalize``, ``multiply``) steps
-to the first new element, carries only the two sum rows from there and interns
-the word's end with no matrix, built on first read (``Element._imat``).
-Against a rebuild along the canonical word, inverse-matrix entries drift at
-most about 7e-13 and root sums 3.2e-12 over all of H3, B4, F4, D5 and H4 and
-over reduced words of length 40-64 in A~2 to A~4 and H4, built by right steps,
-left steps or a walk, with their left products.  For infinite non-affine groups
-the tolerance does not hold: root coordinates grow exponentially, and random
-reduced walks in the all-5 rank-4 matrix, the ``(3, inf, 3)`` triangle group and
-the rank-3 universal group raise ``InternalAssertionFailed`` from lengths of
-about 13, 20 and 42 (the ROADMAP item "Exact word problem: retire SIGN_TOL"
-replaces the floats with exact arithmetic).  Canonical words are produced
+left and right descents.  The identity's sums are all ones.  A generator step
+(``w*s`` or ``s*w`` from ``w``) moves the sums on its own side as one row of the
+matrix they sum, and reflects the other side's by one root computed along
+``w``'s canonical word (``CoxeterSystem._root``); a walk (``normalize``,
+``multiply``) steps to the first new element and carries only the two sum rows
+from there.  Against a rebuild along the canonical word, root sums drift at
+most about 1.5e-13 over all of H3, B4, F4, D5 and H4 with 300 products and
+left products each, and 2.5e-12 over reduced words of length 40-63 in A~2 to
+A~4, built by right steps, left steps or a walk, with their left products.
+For infinite non-affine groups the tolerance does not hold: root coordinates
+grow exponentially, and random reduced walks in the all-5 rank-4 matrix, the
+``(3, inf, 3)`` triangle group and the rank-3 universal group raise
+``InternalAssertionFailed`` from lengths of about 14, 21 and 42 (the ROADMAP
+item "Exact word problem: retire SIGN_TOL" replaces the floats with exact
+arithmetic).  Canonical words are produced
 greedily by peeling off the smallest left descent, which needs only the left
 root sums (``_canonical``).  A step dropping an end letter of a canonical word
 peels nothing (factors of ShortLex-least words are ShortLex-least); any other
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 import math
 from functools import total_ordering
-from operator import add, attrgetter, sub
+from operator import attrgetter, sub
 from typing import Iterable, Sequence
 
 from .errors import InternalAssertionFailed, InvalidMatrix, LengthCapExceeded
@@ -77,13 +78,13 @@ GenSet = frozenset[int]
 IDENTITY_TOKENS = ("e", "∅")
 
 
-def _is_index(s, rank: int) -> bool:
-    """Is s a generator index: an ``int`` (not a ``bool``) in ``range(rank)``?
-
-    Callers test ``s.__class__ is int and 0 <= s < rank`` inline first, so
-    the common case costs no call.
-    """
-    return isinstance(s, int) and not isinstance(s, bool) and 0 <= s < rank
+def _check_letters(letters: Iterable, rank: int) -> None:
+    """Raise ValueError unless every letter is a generator index: an ``int``
+    (not a ``bool``) in ``range(rank)``.  A plain ``int`` passes the first test."""
+    for s in letters:
+        if not (s.__class__ is int and 0 <= s < rank
+                or isinstance(s, int) and not isinstance(s, bool) and 0 <= s < rank):
+            raise ValueError(f"generator index {s!r} out of range for rank {rank}")
 
 
 @total_ordering
@@ -99,17 +100,16 @@ class Element:
     """
 
     __slots__ = (
-        "system", "word", "length", "_invmat", "_lsum", "_rsum", "_left", "_right", "_inv",
+        "system", "word", "length", "_lsum", "_rsum", "_left", "_right", "_inv",
         "_support", "_rmul", "_lmul",
     )
 
-    def __init__(self, system: "CoxeterSystem", word: Word, imat, lsum, rsum):
+    def __init__(self, system: "CoxeterSystem", word: Word, lsum, rsum):
         self.system = system
         self.word = word
         self.length = len(word)
-        self._invmat = imat  # the one matrix held, w^-1's rows; None until _imat is read
-        # plus two sum rows, <w^-1 alpha_t, rho> and <w alpha_t, rho> per t: the column
-        # sums of the matrices of w^-1 and of w, the latter never built
+        # <w^-1 alpha_t, rho> and <w alpha_t, rho> per t: the column sums of the
+        # matrices of w^-1 and of w, neither of which is built
         self._lsum, self._rsum = lsum, rsum
         self._left = self._right = self._support = None  # GenSets, interned on first read
         self._inv: Element | None = None
@@ -141,23 +141,6 @@ class Element:
             d = frozenset(s for s, v in enumerate(self._lsum) if v < SIGN_TOL)
             self._left = self.system._gensets.setdefault(d, d)
         return self._left
-
-    @property
-    def _imat(self):
-        """Rows of the matrix of w^-1, built on first read of a walked element:
-        mat(w^-1) = mat((s w)^-1).S_s off a left neighbour s*w holding one, else the
-        identity's rows times S_s along the reversed word."""
-        if self._invmat is None:
-            rows, word = self.system.identity._invmat, self.word[::-1]
-            for s, nb in enumerate(self._lmul):
-                if nb is not None and nb._invmat is not None:
-                    rows, word = nb._invmat, (s,)
-                    break
-            rows = [list(r) for r in rows]
-            for s in word:
-                self.system._apply_right(s, rows)
-            self._invmat = tuple(map(tuple, rows))
-        return self._invmat
 
     def inverse(self) -> "Element":
         if self._inv is None:
@@ -281,7 +264,6 @@ class CoxeterSystem:
         self._elements: dict[Word, Element] = {}
         self._leq_cache: dict[tuple[Element, Element], bool] = {}
         self._interval_cache: dict[Element, object] = {}
-        self._stab_cache: dict[tuple[Element, GenSet], GenSet] = {}
         # (w, J) -> (x -> coset maximum, checked x -> shift or None), coset_max._shift_table
         self._shift_tables: dict[tuple[Element, GenSet], tuple] = {}
         # (w, J, left) -> (v, u), parabolic._split
@@ -291,8 +273,7 @@ class CoxeterSystem:
         self._all_gens: GenSet = frozenset(range(n))
         self._gensets: dict[GenSet, GenSet] = {}  # one object per descent set or support
 
-        ident = tuple(tuple(1.0 if i == j else 0.0 for j in range(n)) for i in range(n))
-        self.identity = self._intern((), ident, (1.0,) * n, (1.0,) * n)
+        self.identity = self._intern((), (1.0,) * n, (1.0,) * n)
         self._gens = tuple(self._step(self.identity, i) for i in range(n))
 
     # -- public construction / parsing ---------------------------------
@@ -306,15 +287,13 @@ class CoxeterSystem:
 
     def check_genset(self, gens: Iterable[int]) -> GenSet:
         J = frozenset(gens)
-        for s in J:
-            if not (s.__class__ is int and 0 <= s < self.rank or _is_index(s, self.rank)):
-                raise ValueError(f"generator index {s!r} out of range for rank {self.rank}")
+        _check_letters(J, self.rank)
         return J
 
     def clear_caches(self) -> None:
-        """Drop the leq, interval, stabiliser, shift-table, split and
-        Poincare-term memos; elements stay interned."""
-        for memo in (self._leq_cache, self._interval_cache, self._stab_cache,
+        """Drop the leq, interval, shift-table, split and Poincare-term memos;
+        elements stay interned, with their products and root sums."""
+        for memo in (self._leq_cache, self._interval_cache,
                      self._shift_tables, self._split_cache, self._term_cache):
             memo.clear()
 
@@ -350,10 +329,7 @@ class CoxeterSystem:
     def normalize(self, letters: Iterable[int]) -> Element:
         """Fold a word into its group element (canonical form)."""
         letters = tuple(letters)
-        rank = self.rank
-        for s in letters:
-            if not (s.__class__ is int and 0 <= s < rank or _is_index(s, rank)):
-                raise ValueError(f"generator index {s!r} out of range for rank {rank}")
+        _check_letters(letters, self.rank)
         return self._walk(self.identity, letters)
 
     def multiply(self, a: Element, b: Element) -> Element:
@@ -388,40 +364,36 @@ class CoxeterSystem:
 
     # -- geometric representation ---------------------------------------
 
-    def _apply_right(self, s: int, rows: list[list[float]]) -> list[list[float]]:
-        """rows <- rows . S_s (only column s feeds the bonded columns); returns rows."""
-        nbrs = self._nbrs[s]
-        for row in rows:
-            ms = row[s]
-            for k, c in nbrs:
-                row[k] += c * ms
-            row[s] = -ms
-        return rows
-
-    def _row_sums(self, s: int, mat, sums) -> tuple[list, tuple]:
-        """Row s of S_s . mat, the only row S_s changes, and the column sums moved by its change."""
-        new = [-v for v in mat[s]]
+    def _apply_right(self, s: int, row: list[float]) -> list[float]:
+        """row <- row . S_s (only entry s feeds its bonded entries); returns row."""
+        ms = row[s]
         for k, c in self._nbrs[s]:
-            rk = mat[k]
-            for j in range(self.rank):
-                new[j] += c * rk[j]
-        return new, tuple(map(add, sums, map(sub, new, mat[s])))
+            row[k] += c * ms
+        row[s] = -ms
+        return row
 
-    def _row_step(self, s: int, mat, sums, new=None) -> tuple[tuple, tuple]:
-        """S_s . mat, sharing every row but s, and its column sums; a row s
-        from ``_row_sums`` comes with its sums already moved."""
-        if new is None:
-            new, sums = self._row_sums(s, mat, sums)
-        rows = list(mat)
-        rows[s] = tuple(new)
-        return tuple(rows), sums
+    def _root(self, s: int, letters: Iterable[int]) -> list[float]:
+        """The root a_k ... a_1(alpha_s) for letters a_1, ..., a_k, reflected in turn:
+        w^-1(alpha_s) along w's word, w(alpha_s) along it reversed."""
+        v = [0.0] * self.rank
+        v[s] = 1.0
+        nbrs = self._nbrs
+        for a in letters:  # s_a changes coordinate a only
+            x = -v[a]
+            for k, c in nbrs[a]:
+                x += c * v[k]
+            v[a] = x
+        return v
 
-    def _col_step(self, s: int, mat, sums) -> tuple[tuple, tuple]:
-        """mat . S_s and its column sums, sums . S_s: the sums move like a row."""
-        rows = [list(r) for r in mat] + [list(sums)]
-        self._apply_right(s, rows)
-        sums = tuple(rows.pop())
-        return tuple(map(tuple, rows)), sums
+    def _reflect(self, sums, root) -> tuple:
+        """sums[t] - 2B(alpha_t, root) for every t, read over the root's nonzero entries."""
+        out, nbrs = list(sums), self._nbrs
+        for k, g in enumerate(root):
+            if g:
+                out[k] -= 2.0 * g
+                for t, c in nbrs[k]:
+                    out[t] += c * g
+        return tuple(out)
 
     def _canonical(self, lsum, length: int) -> Word:
         """Greedy ShortLex word of an element g from its left root sums.
@@ -451,60 +423,55 @@ class CoxeterSystem:
 
     # -- element construction and memoised generator products -----------
 
-    def _intern(self, word: Word, imat, lsum, rsum) -> Element:
-        """The element of a canonical word; a new one takes the given inverse matrix
-        (None to build it on first read) and root sums."""
+    def _intern(self, word: Word, lsum, rsum) -> Element:
+        """The element of a canonical word; a new one takes the given root sums."""
         el = self._elements.get(word)
         if el is None:
             # setdefault keeps the first object stored, so a racing caller
             # cannot leave two objects for one element.
-            el = self._elements.setdefault(word, Element(self, word, imat, lsum, rsum))
+            el = self._elements.setdefault(word, Element(self, word, lsum, rsum))
         return el
 
     def _step(self, w: Element, s: int, left: bool = False) -> Element:
         """w * s, or s * w when left, for a single generator s.
 
-        (w s)^-1 = s w^-1 and (s w)^-1 = w^-1 s, so the side only picks the slots, the
-        descents and on which side S_s multiplies w's inverse matrix, the one matrix an
-        element holds.  The left root sums are its column sums.  A right product's right
-        root sums move like one more row of w's matrix; a left product's read column s of
-        w's inverse matrix, w^-1 alpha_s, since the representation's form B is W-invariant:
-        <s w alpha_t, rho> = <w alpha_t, rho> - 2B(alpha_t, w^-1 alpha_s).  When s ends
-        w's word on that side, the rest of the word is the product's: a factor of a
-        ShortLex-least word is ShortLex-least.  Other right products read their word off
-        a neighbour (``_neighbour_word``); left products, and right ones whose neighbour
-        is not interned, peel it (``_canonical``).
+        The two sides are mirror images.  The sums on the step's own side move as one
+        row of the matrix they sum: rsum(w s) = rsum(w).S_s and lsum(s w) = lsum(w).S_s.
+        The other side's are reflected by one root, since the representation's form B
+        is W-invariant: lsum(w s)[t] = lsum(w)[t] - 2B(alpha_t, w alpha_s), and
+        rsum(s w)[t] = rsum(w)[t] - 2B(alpha_t, w^-1 alpha_s), with the root read along
+        w's canonical word (``_root``).  When s ends w's word on that side, the rest of
+        the word is the product's: a factor of a ShortLex-least word is ShortLex-least.
+        Other right products read their word off a neighbour (``_neighbour_word``);
+        left products, and right ones whose neighbour is not interned, peel it
+        (``_canonical``).
         """
         slots = w._lmul if left else w._rmul
         hit = slots[s]
         if hit is not None:
             return hit
-        lsum, rsum = w._lsum, w._rsum
-        word, imat, row = w.word, None, None
+        word, lsum = w.word, None
         if word and word[0 if left else -1] == s:
             word = word[1:] if left else word[:-1]
         else:
-            newlen = w.length - 1 if (lsum if left else rsum)[s] < SIGN_TOL else w.length + 1
+            newlen = w.length - 1 if (w._lsum if left else w._rsum)[s] < SIGN_TOL else w.length + 1
             if newlen > self.length_cap:
                 raise self._too_long(newlen)
             if left:
-                imat, lsum = self._col_step(s, w._imat, lsum)
+                lsum = tuple(self._apply_right(s, list(w._lsum)))
                 word = self._canonical(lsum, newlen)
-            else:  # the inverse changes in row s only; its matrix waits for a new element
-                row, lsum = self._row_sums(s, w._imat, lsum)
+            else:
+                lsum = self._reflect(w._lsum, self._root(s, reversed(word)))
                 word = self._neighbour_word(w, s, lsum, newlen) or self._canonical(lsum, newlen)
         out = self._elements.get(word)
         if out is None:
-            if imat is None:
-                imat, lsum = (self._col_step(s, w._imat, lsum) if left
-                              else self._row_step(s, w._imat, lsum, row))
             if left:
-                col, nbrs = [r[s] for r in w._imat], self._nbrs
-                rsum = tuple(r - 2.0 * col[t] + sum(c * col[k] for k, c in nbrs[t])
-                             for t, r in enumerate(rsum))
+                lsum = lsum or tuple(self._apply_right(s, list(w._lsum)))
+                rsum = self._reflect(w._rsum, self._root(s, w.word))
             else:
-                rsum = tuple(self._apply_right(s, [list(rsum)])[0])
-            out = self._intern(word, imat, lsum, rsum)
+                lsum = lsum or self._reflect(w._lsum, self._root(s, reversed(w.word)))
+                rsum = tuple(self._apply_right(s, list(w._rsum)))
+            out = self._intern(word, lsum, rsum)
         slots[s] = out
         (out._lmul if left else out._rmul)[s] = w
         return out
@@ -534,7 +501,7 @@ class CoxeterSystem:
             peel, out = t, (t,) + near.word
         else:
             peel, near, out = word[0], w, word[1:]
-        v = self._apply_right(peel, [list(lsum)])[0]  # a peel moves sums like a row
+        v = self._apply_right(peel, list(lsum))  # a peel moves sums like a row
         if len(out) != length or max(map(abs, map(sub, v, near._lsum))) > 1e-6:
             raise InternalAssertionFailed("one-peel word does not match its neighbour's sums")
         return out
@@ -542,7 +509,7 @@ class CoxeterSystem:
     def _walk(self, w: Element, letters: Word) -> Element:
         """w times checked letters: generator steps up to the first new element p, then the
         rest on p's right root sums (descents, length and cap per letter) and, in a second
-        pass, the left root sums of p*rest, canonicalised once; interned with no matrix."""
+        pass, the left root sums of p*rest, canonicalised once and interned."""
         known = len(self._elements)
         for i, s in enumerate(letters):
             hit = w._rmul[s]
@@ -559,11 +526,11 @@ class CoxeterSystem:
                 length += 1
                 if length > self.length_cap:
                     raise self._too_long(length)
-            self._apply_right(s, (sums,))  # moves like a row of p's matrix
+            self._apply_right(s, sums)  # moves like a row of p's matrix
         lsum = [1.0] * self.rank
         for s in reversed(w.word + rest):  # lsum(s*g) = lsum(g).S_s, a row again
-            self._apply_right(s, (lsum,))
-        return self._intern(self._canonical(lsum, length), None, tuple(lsum), tuple(sums))
+            self._apply_right(s, lsum)
+        return self._intern(self._canonical(lsum, length), tuple(lsum), tuple(sums))
 
     def _too_long(self, length: int) -> LengthCapExceeded:
         return LengthCapExceeded(f"element of length {length} exceeds length_cap={self.length_cap}")
@@ -587,9 +554,7 @@ def demazure(a: Element, b: Element) -> Element:
 def demazure_word(system: CoxeterSystem, letters: Iterable[int]) -> Element:
     """Demazure fold of an arbitrary (not necessarily reduced) word."""
     letters = tuple(letters)
-    for s in letters:
-        if not _is_index(s, system.rank):
-            raise ValueError(f"generator index {s!r} out of range for rank {system.rank}")
+    _check_letters(letters, system.rank)
     return _fold_letters(system.identity, letters)
 
 

@@ -18,9 +18,12 @@ The chosen s is the smallest left descent of v, but the result is
 independent of the choice; :func:`.oracle.coset_max_candidates` explores
 every choice and is used for verification.  The loop walks down the levels
 (w, x) -> (v, s x) to x = e, then folds the maxima back up, checking each
-level's maximum against its coset; the same pass records the levels the
-result's trace reads.  Results are not memoised; the coset stabilizers of
-each (x, J) are, per system.
+level's maximum against its coset.  The coset stabilizers are read off the
+roots x^-1(alpha_t), the columns of the matrix of x^-1: the fold-up pass
+carries that matrix's rows outside J from the identity, one generator per
+level, so no t x is built and an x at the length cap is answered.  The same
+pass records the levels the result's trace reads.  Neither results nor
+stabilizers are memoised.
 
 Sweeps over every x (:func:`shifted_max_set` and the Poincare
 decompositions) read the whole table x -> q instead, built without the
@@ -107,17 +110,6 @@ def _fold(w: Element, J: GenSet) -> Element:
     return _fold_letters(w.system.identity, [s for s in w.word if s in J])
 
 
-def _stabilizers(x: Element, J: GenSet) -> GenSet:
-    """Generators t with t x W_J = x W_J: those whose root x^-1(alpha_t) has support in J."""
-    sys = x.system
-    stab = sys._stab_cache.get((x, J))
-    if stab is None:  # column t of x's inverse matrix is x^-1(alpha_t)
-        rows = [r for j, r in enumerate(x._imat) if j not in J]
-        stab = frozenset(t for t in J | x.support if all(abs(r[t]) < SIGN_TOL for r in rows))
-        sys._stab_cache[x, J] = stab
-    return stab
-
-
 def _validate(w: Element, x: Element, J: Iterable[int]) -> GenSet:
     w.system._check_mine(x)
     J = check_min_rep(x, J)
@@ -136,6 +128,9 @@ def _max_in_coset(w: Element, x: Element, J: GenSet) -> CosetMaxResult:
 
     Walks down the levels (w, x) -> (v, s x) to x = e, then folds the maxima
     back up from the base; every level's maximum is checked to lie in its coset.
+    The fold-up pass carries the rows outside J of the matrix of x_i^-1 = (s x_i)^-1 s,
+    whose column t is the root x_i^-1(alpha_t): t stabilizes x_i W_J when that root has
+    support in J, i.e. is zero in those rows.
     """
     sys = w.system
     down = []
@@ -151,13 +146,18 @@ def _max_in_coset(w: Element, x: Element, J: GenSet) -> CosetMaxResult:
             raise InternalAssertionFailed("s*x left the minimal representatives")
         if not leq(sx, v):
             raise InternalAssertionFailed("s*x is not below the suffix of the split")
-        stab = _stabilizers(xi, J)
-        down.append((wi, xi, dl, u, v, stab, s, _fold(u, stab)))
+        down.append((wi, xi, dl, u, v, s))
         wi, xi = v, sx
     q = _fold(wi, J)
     shift = _checked_shift(wi, xi, q, J)
-    up = []
-    for wi, xi, dl, u, v, stab, s, prefix_max in reversed(down):
+    up, n = [], sys.rank
+    off = [[float(i == j) for j in range(n)] for i in range(n) if i not in J]  # x = e
+    for wi, xi, dl, u, v, s in reversed(down):
+        for r in off:
+            sys._apply_right(s, r)
+        stab = (J | xi.support).difference(
+            [t for r in off for t, c in enumerate(r) if not abs(c) < SIGN_TOL])
+        prefix_max = _fold(u, stab)
         sq = sys._step(q, s, True)
         if sq.length <= q.length:
             raise InternalAssertionFailed("s shortened the recursive maximum")

@@ -3,12 +3,13 @@
 These deliberately avoid the algorithms they check: the interval oracle
 closes downward by single-letter deletions over *all* reduced words instead
 of enumerating subwords of one word; the coset-maximum oracle filters the
-interval and scans for maxima instead of recursing; word equality is decided
-by bounded braid-move/deletion rewriting instead of the geometric
-representation.  :func:`coset_max_candidates` instead reruns the fast
-recursion under every choice it could make, with coset stabilisers taken
-from their definition rather than from the recursion's root test.  :func:`verify`
-runs the fast paths against these oracles and counts the disagreements.
+interval by coset representative and scans for maxima instead of recursing;
+word equality is decided by bounded braid-move/deletion rewriting instead of
+the geometric representation.  :func:`coset_max_candidates` instead reruns
+the fast recursion under every choice it could make, with coset stabilisers
+taken from their definition (by braid rewriting at the length cap) rather
+than from the recursion's root test.  :func:`verify` runs the fast paths
+against these oracles and counts the disagreements.
 
 The memo tables live in each system's instance dictionary: their keys and
 values hold elements, which hold their system, so a table kept elsewhere
@@ -23,7 +24,7 @@ from operator import attrgetter
 from typing import Iterable
 
 from .bruhat import leq, lower_interval
-from .core import CoxeterSystem, Element, Word, demazure
+from .core import CoxeterSystem, Element, GenSet, Word, _check_letters, demazure
 from .coset_max import _validate, max_in_coset, max_in_parabolic
 from .errors import EmptyIntersection, IntervalTooLarge, NotUnique, SearchBudgetExceeded
 from .parabolic import check_min_rep, coset_rep, decompose, min_reps_in_order
@@ -86,9 +87,8 @@ def brute_coset_max(w: Element, x: Element, J: Iterable[int]) -> Element:
     """
     w.system._check_mine(x)
     J = check_min_rep(x, J)
-    xinv = x.inverse()
     members = [y for y in sorted(brute_interval(w), key=attrgetter("length", "word"), reverse=True)
-               if (xinv * y).support <= J]
+               if coset_rep(y, J) is x]
     if not members:
         raise EmptyIntersection(f"[e,{w}] meet {x}W_J is empty")
     maxima = [y for y in members if not any(y is not z and leq(y, z) for z in members)]
@@ -119,8 +119,7 @@ def coset_max_candidates(w: Element, x: Element, J: Iterable[int]) -> frozenset[
     else:
         outside = frozenset(range(sys.rank)) - x.left_descents
         d = decompose(w, outside, "left")
-        stab = [t for t in range(sys.rank) if coset_rep(sys._step(x, t, True), J) is x]
-        prefix_max = max_in_parabolic(d.u, stab)
+        prefix_max = max_in_parabolic(d.u, _coset_stabilizers(x, J))
         acc = set()
         for s in sorted(d.v.left_descents):
             sx = sys._step(x, s, True)
@@ -129,6 +128,21 @@ def coset_max_candidates(w: Element, x: Element, J: Iterable[int]) -> frozenset[
         out = frozenset(acc)
     cache[key] = out
     return out
+
+
+def _coset_stabilizers(x: Element, J: GenSet) -> list[int]:
+    """Generators t with t x W_J = x W_J, for x in W^J, from the definition.
+
+    Below the length cap t x is built and its coset representative compared
+    with x.  At the cap t x may be too long to build, so Deodhar's lemma
+    decides instead: t stabilises exactly when t x = x t2 for some t2 in J,
+    which braid rewriting checks on words alone.
+    """
+    sys = x.system
+    if x.length < sys.length_cap:
+        return [t for t in range(sys.rank) if coset_rep(sys._step(x, t, True), J) is x]
+    return [t for t in range(sys.rank)
+            if any(braid_equal(sys, (t,) + x.word, x.word + (t2,)) for t2 in J)]
 
 
 class _Budget:
@@ -197,9 +211,7 @@ def braid_equal(
     """
     w1 = tuple(word1)
     w2 = tuple(word2)
-    for s in w1 + w2:
-        if isinstance(s, bool) or not isinstance(s, int) or not 0 <= s < sys.rank:
-            raise ValueError(f"generator index {s!r} out of range for rank {sys.rank}")
+    _check_letters(w1 + w2, sys.rank)
     b = _Budget(budget)
     return _tits_reduce(sys, w1, b) == _tits_reduce(sys, w2, b)
 
@@ -225,7 +237,9 @@ def verify(
     says what was checked, e.g. ``"24 elements"``.  Words up to ``max_len``
     (capped at the length cap) are checked exhaustively while there are at
     most 20000 of them and sampled otherwise; every sample is drawn from
-    ``random.Random(seed)``, so equal arguments give equal records.
+    ``random.Random(seed)``, so equal arguments give equal records.  No check
+    builds an element longer than the length cap: ``interval-product`` keeps
+    only pairs whose lengths sum to at most both caps.
     """
     if max_len < 0 or samples < 0:
         raise ValueError(f"max_len and samples must be nonnegative, got {max_len} and {samples}")
@@ -277,7 +291,7 @@ def verify(
     count = 0
     for _ in range(samples):
         w, u = rng.choice(elems), rng.choice(elems)
-        if w.length + u.length <= sys.interval_cap:
+        if w.length + u.length <= min(sys.interval_cap, sys.length_cap):
             count += 1
             if not verify_interval_product(w, u):
                 bad += 1

@@ -48,7 +48,7 @@ def test_descents_are_the_letters_that_shorten_the_word(kind):
 
 def test_canonical_checks_its_peel():
     S = coxeter_system("B3")
-    lsum = [sum(col) for col in zip(*S.generator(0)._imat)]
+    lsum = list(S.generator(0)._lsum)
     with pytest.raises(InternalAssertionFailed, match="no left descent"):
         S._canonical(lsum, 2)
     with pytest.raises(InternalAssertionFailed, match="did not reach the identity"):

@@ -1,14 +1,14 @@
-"""Elements built one generator step from a neighbour keep accurate matrices and sums.
+"""Elements built one generator step from a neighbour keep accurate root sums.
 
-An element holds one matrix, that of w^-1, and two rows of root sums.  A
-generator step (w*s or s*w from w) gives a new element its inverse matrix and
-both sum rows from w; a left step reads its right root sums off column s of
-w's inverse matrix.  Walks (``normalize``, ``multiply``) intern their result
-with its two sum rows only, and its inverse matrix is built on first read
-(``Element._imat``): one step off a neighbour that holds one, or along the
-canonical word.  These tests rebuild the matrices of w and w^-1 along the
-canonical word, independently of the system's own matrix code, and check that
-the inverse matrix and the column sums of both have not drifted.
+An element holds no matrix, only its word and two rows of root sums, the
+column sums of the matrices of w^-1 and w.  A generator step (w*s or s*w from
+w) moves the sums on its own side as a row and reflects the other side's by
+the root w(alpha_s) or w^-1(alpha_s), read along w's canonical word
+(``CoxeterSystem._root``).  Walks (``normalize``, ``multiply``) carry the two
+sum rows along the rest of the word.  These tests rebuild the matrices of w
+and w^-1 along the canonical word, independently of the system's own code, and
+check the roots against their columns and the carried sums against their
+column sums.
 """
 
 from __future__ import annotations
@@ -54,14 +54,12 @@ def _rebuilt(system, gens, word):
 
 
 def _worst_drift(system, elements):
-    """Largest entry of an inverse matrix, or carried root sum (``_lsum``, ``_rsum``),
-    off the rebuilt matrices or their column sums."""
+    """Largest carried root sum (``_lsum``, ``_rsum``) off the column sums of the
+    rebuilt matrices of w^-1 and w."""
     gens = _generator_matrices(system)
     worst = 0.0
     for w in elements:
         mat, imat = _rebuilt(system, gens, w.word)
-        for row, ref_row in zip(w._imat, imat):
-            worst = max(worst, max(abs(x - y) for x, y in zip(row, ref_row)))
         for sums, ref in ((w._lsum, imat), (w._rsum, mat)):
             worst = max(worst, max(abs(x - sum(col)) for x, col in zip(sums, zip(*ref))))
     return worst
@@ -109,3 +107,43 @@ def test_matrices_match_a_rebuild_along_the_canonical_word(name, max_length):
     assert made == {("right", "up"), ("right", "down"), ("left", "up"), ("left", "down")}
     assert _worst_drift(system, system._elements.values()) < TOL
 
+
+
+@pytest.mark.parametrize("name, max_length", [("B4", None), ("F4", None), ("A~2", 12)])
+def test_enumerated_sums_from_their_neighbours(name, max_length):
+    """In ShortLex order each element is a step off a shorter neighbour, which gives
+    it both sum rows."""
+    system = coxeter_system(name)
+    assert _worst_drift(system, system.elements(max_length)) < TOL
+
+
+def _reduced_word(system, length, rng):
+    """A random reduced word of the given length, by right ascents."""
+    w = system.identity
+    while w.length < length:
+        w = system._step(w, rng.choice([s for s in range(system.rank) if s not in w.right_descents]))
+    return w.word
+
+
+def _root_cases():
+    for name in ("H3", "B4", "F4"):
+        system = coxeter_system(name)
+        yield name, system, [w.word for w in system.elements()]
+    rng = random.Random(13)
+    for name in ("A~2", "A~3", "A~4"):
+        system = coxeter_system(name)
+        yield name, system, [_reduced_word(system, rng.randint(40, 63), rng) for _ in range(6)]
+
+
+def test_roots_are_columns_of_the_rebuilt_matrices():
+    """w(alpha_s) along the reversed word and w^-1(alpha_s) along the word are column s
+    of the matrices of w and w^-1."""
+    for name, system, words in _root_cases():
+        gens, worst = _generator_matrices(system), 0.0
+        for word in words:
+            mat, imat = _rebuilt(system, gens, word)
+            for s in range(system.rank):
+                for root, ref in ((system._root(s, reversed(word)), mat),
+                                  (system._root(s, word), imat)):
+                    worst = max(worst, max(abs(x - row[s]) for x, row in zip(root, ref)))
+        assert worst < TOL, f"{name}: {worst}"

@@ -68,13 +68,13 @@ def test_intern_keeps_the_first_object_for_a_word(monkeypatch):
     word = (0, 1, 2)
     inner = []
 
-    def element_racing(owner, w, imat, lsum, rsum):
+    def element_racing(owner, w, lsum, rsum):
         if w == word and not inner:
             inner.append(None)
-            inner[0] = system._intern(w, imat, lsum, rsum)
-        return Element(owner, w, imat, lsum, rsum)
+            inner[0] = system._intern(w, lsum, rsum)
+        return Element(owner, w, lsum, rsum)
 
     monkeypatch.setattr(core, "Element", element_racing)
-    outer = system._intern(word, ref._imat, ref._lsum, ref._rsum)
+    outer = system._intern(word, ref._lsum, ref._rsum)
     assert inner[0] is outer
     assert system.element("s1 s2 s3") is outer

@@ -38,7 +38,7 @@ def test_outputs_match_after_shuffled_interning(name, seed):
     random.Random(seed).shuffle(words)
     shuffled = coxeter_system(name)
     for word in words:
-        shuffled._intern(word, ref[word]._imat, ref[word]._lsum, ref[word]._rsum)
+        shuffled._intern(word, ref[word]._lsum, ref[word]._rsum)
     assert list(shuffled._elements) == [(), *((s,) for s in range(3))] + [
         word for word in words if len(word) > 1
     ]

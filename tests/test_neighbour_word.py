@@ -6,9 +6,9 @@ root sums against that neighbour's.  Only a right product whose neighbour
 tail(w)*s is not interned, and every left product, peels its whole word off
 its left root sums (``_canonical``).  Each new element carries root sums
 derived from its neighbour's.  These tests check the words and the carried
-sums against ``_canonical`` and against the column sums of the inverse matrix
-and of a rebuilt matrix of the element, count the fallbacks, and corrupt a
-neighbour's sums to see the check fire.
+sums against ``_canonical`` and against the column sums of the matrices of the
+element and its inverse, rebuilt along its word, count the fallbacks, and
+corrupt a neighbour's sums to see the check fire.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pytest
 
 from coxbruhat import InternalAssertionFailed, coxeter_system
 from coxbruhat.bruhat import lower_interval
-from test_construction import _generator_matrices, _product
+from test_construction import _generator_matrices, _product, _rebuilt
 
 TOL = 1e-9
 
@@ -28,23 +28,26 @@ def _column_sums(mat):
     return [sum(col) for col in zip(*mat)]
 
 
-def _matrix_of(gens, word, memo):
-    """The matrix of a word, multiplied out one generator at a time off its prefix."""
+def _matrices_of(gens, word, memo):
+    """The matrices of a word and its inverse, multiplied out one generator at a
+    time off its prefix."""
     if word not in memo:
-        memo[word] = _product(_matrix_of(gens, word[:-1], memo), gens[word[-1]])
+        mat, imat = _matrices_of(gens, word[:-1], memo)
+        memo[word] = _product(mat, gens[word[-1]]), _product(gens[word[-1]], imat)
     return memo[word]
 
 
 def _bad_elements(system, elements):
-    """Elements whose word is not the peel of their inverse matrix, or whose carried
-    root sums stray from the column sums of that matrix and of a rebuilt matrix."""
+    """Elements whose word is not the peel of their rebuilt inverse matrix, or whose
+    carried root sums stray from the column sums of it and of the rebuilt matrix."""
     bad, gens = [], _generator_matrices(system)
-    memo = {(): [[1.0 if i == j else 0.0 for j in range(system.rank)] for i in range(system.rank)]}
+    memo = {(): _rebuilt(system, gens, ())}
     for el in elements:
-        drift = max(abs(a - b) for sums, mat in ((el._lsum, el._imat),
-                                                 (el._rsum, _matrix_of(gens, el.word, memo)))
-                    for a, b in zip(sums, _column_sums(mat)))
-        if system._canonical(_column_sums(el._imat), el.length) != el.word or drift > TOL:
+        mat, imat = _matrices_of(gens, el.word, memo)
+        lsum, rsum = _column_sums(imat), _column_sums(mat)
+        drift = max(abs(a - b) for sums, ref in ((el._lsum, lsum), (el._rsum, rsum))
+                    for a, b in zip(sums, ref))
+        if system._canonical(lsum, el.length) != el.word or drift > TOL:
             bad.append(el.word)
     return bad
 
@@ -125,7 +128,8 @@ def test_each_branch_takes_the_canonical_word(branch):
     x = system._step(w, s)
     assert (x.word, calls) == (word, [])
     del system._canonical
-    assert system._canonical(_column_sums(x._imat), x.length) == word
+    imat = _rebuilt(system, _generator_matrices(system), word)[1]
+    assert system._canonical(_column_sums(imat), x.length) == word
 
 
 @pytest.mark.parametrize("branch", sorted(BRANCHES))

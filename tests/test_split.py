@@ -91,7 +91,7 @@ def _sweep(system):
             sms = shifted_max_set(w, J)
             out.append((w, J, tuple(sms.pairs.items()),
                         decompose_poincare(w, J).total, bp_report(w, J).is_bp))
-            # the tables do not use the recursion, so run it to fill the stabiliser memo
+            # the tables do not use the recursion, so run it too
             out.append(tuple(max_in_coset(w, x, J).maximum for x in sms.pairs))
     return out
 
@@ -100,7 +100,7 @@ def test_clear_caches_keeps_elements_and_results():
     system = coxeter_system("B3")
     first = _sweep(system)
     elements = dict(system._elements)
-    memos = (system._leq_cache, system._interval_cache, system._stab_cache,
+    memos = (system._leq_cache, system._interval_cache,
              system._shift_tables, system._split_cache, system._term_cache)
     assert all(memos)
     system.clear_caches()

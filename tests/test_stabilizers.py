@@ -1,10 +1,13 @@
-"""Coset stabilisers in the recursion trace and memo, checked from their definition.
+"""Coset stabilisers in the recursion trace, checked from their definition.
 
 A generator t stabilises x W_J exactly when x^-1 t x lies in W_J, i.e. its
 support is inside J.  The check multiplies the elements out and is
 independent of how the recursion finds the stabilisers.  The recursion reads
-them off the root x^-1(alpha_t); the rule it used before, by Deodhar's lemma
-on the longer element t x, is kept here as a second reference.
+them off the root x^-1(alpha_t), a column of the matrix of x^-1 that its
+fold-up pass carries.  Deodhar's lemma on the longer element t x is a second
+reference; at the length cap, where t x cannot be built, the oracle decides
+it on words by braid rewriting.  The stabilisers of (x, J) are those of the
+first level of ``max_in_coset(x, x, J)``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from coxbruhat import (
     max_in_coset,
     min_reps_leq,
 )
-from coxbruhat.coset_max import _stabilizers
+from coxbruhat import coset_max, oracle
 from coxbruhat.oracle import coset_max_candidates
 from conftest import all_gensets
 
@@ -42,40 +45,46 @@ def test_trace_stabilizers_match_definition(kind):
     assert seen
 
 
+def _stabilizers(x, J):
+    """The coset stabilisers the recursion finds at its first level, x itself."""
+    return max_in_coset(x, x, J).trace[0].coset_stabilizers
+
+
 @pytest.mark.parametrize("kind", ["A3", "B3", "H3"])
 def test_memoised_stabilizers_match_definition(kind):
+    """Every pair with x in W^J, not just those a query meets, checked at the
+    first level of its trace."""
     system = coxeter_system(kind)
-    for w in system.elements():
-        for J in all_gensets(system):
-            for x in min_reps_leq(w, J):
-                max_in_coset(w, x, J)
-    memo = system._stab_cache
-    assert 0 < len(memo) <= len(system.elements()) * 2 ** system.rank
-    for (x, J), stab in memo.items():
-        x_inv = x.inverse()
-        expected = {t for t in range(system.rank)
-                    if (x_inv * system.generator(t) * x).support <= J}
-        assert stab == expected, f"{kind}: x={x} J={system.genset_str(J)}"
+    pairs = 0
+    for J in all_gensets(system):
+        for x in system.elements():
+            if x.length and not x.right_descents & J:  # x in W^J, x != e
+                x_inv = x.inverse()
+                expected = {t for t in range(system.rank)
+                            if (x_inv * system.generator(t) * x).support <= J}
+                assert _stabilizers(x, J) == expected, f"{kind}: x={x} J={system.genset_str(J)}"
+                pairs += 1
+    assert pairs
 
 
-def test_oracle_catches_a_wrong_memoised_stabilizer():
-    """Empty stabiliser sets in the memo give wrong maxima that pass the recursion's
-    own checks; coset_max_candidates does not read the memo and stays right."""
+def test_oracle_catches_a_wrong_memoised_stabilizer(monkeypatch):
+    """A negative root tolerance empties every stabiliser set the recursion reads,
+    which gives wrong maxima that pass its own checks; coset_max_candidates finds
+    the stabilisers by building t x and stays right."""
     system = coxeter_system("A3")
-    reference = coxeter_system("A3")
     triples = [(w, x, J) for w in system.elements() for J in all_gensets(system)
                for x in min_reps_leq(w, J)]
-    for w, x, J in triples:
-        if x.length:
-            system._stab_cache[x, J] = frozenset()
+    refs = [max_in_coset(w, x, J).maximum for w, x, J in triples]
+    monkeypatch.setattr(coset_max, "SIGN_TOL", -1.0)
     wrong = 0
-    for w, x, J in triples:
-        ref = max_in_coset(reference.element(str(w)), reference.element(str(x)), J).maximum
-        assert {str(q) for q in coset_max_candidates(w, x, J)} == {str(ref)}
+    for (w, x, J), ref in zip(triples, refs):
+        assert set(coset_max_candidates(w, x, J)) == {ref}
         try:
-            wrong += str(max_in_coset(w, x, J).maximum) != str(ref)
+            result = max_in_coset(w, x, J)
         except InternalAssertionFailed:
-            pass
+            continue
+        assert not any(step.coset_stabilizers for step in result.trace)
+        wrong += result.maximum is not ref
     assert wrong
 
 
@@ -94,7 +103,7 @@ def test_root_stabilizers_match_deodhar_rule(kind, max_length):
     pairs = 0
     for J in all_gensets(system):
         for x in system.elements(max_length):
-            if not x.right_descents & J:  # x in W^J
+            if x.length and not x.right_descents & J:  # x in W^J, x != e
                 assert _stabilizers(x, J) == _stabilizers_by_deodhar(x, J), (
                     f"{kind}: x={x} J={system.genset_str(J)}")
                 pairs += 1
@@ -108,3 +117,40 @@ def test_stabilizers_at_the_length_cap_build_no_longer_element():
     assert str(result.maximum) == "s1 s2 s3"
     assert result.shift is system.identity
     assert [step.coset_stabilizers for step in result.trace] == [frozenset()] * 3
+
+
+def _capped_a3():
+    """x = s1 s2 s3 in A3 with length_cap=3."""
+    return CoxeterSystem(coxeter_matrix("A3"), length_cap=3).element("s1 s2 s3")
+
+
+@pytest.mark.parametrize("J", [(), (0,), (1,)])
+def test_candidates_at_the_length_cap(J):
+    """t x is too long to build for x = s1 s2 s3 at length_cap=3; the oracle still
+    finds the recursion's maximum."""
+    x = _capped_a3()
+    assert coset_max_candidates(x, x, J) == {max_in_coset(x, x, J).maximum}
+
+
+@pytest.mark.parametrize("J, stab", [((0,), {1}), ((1,), {2})])
+def test_oracle_stabilizers_at_the_length_cap_match_the_trace(J, stab):
+    x = _capped_a3()
+    found = oracle._coset_stabilizers(x, frozenset(J))
+    assert set(found) == stab == max_in_coset(x, x, J).trace[0].coset_stabilizers
+
+
+@pytest.mark.parametrize("kind", ["A3", "B3"])
+def test_oracle_stabilizers_at_the_cap_match_those_below_it(kind):
+    """At length_cap = length(x) the oracle decides by braid rewriting, below it by
+    building t x; both rules agree for every x in W^J of the group."""
+    reference = coxeter_system(kind)
+    pairs = 0
+    for cap in range(1, reference.elements()[-1].length + 1):
+        capped = CoxeterSystem(coxeter_matrix(kind), length_cap=cap)
+        for J in all_gensets(capped):
+            for x in capped.elements():
+                if x.length == cap and not x.right_descents & J:
+                    expected = oracle._coset_stabilizers(reference.element(str(x)), J)
+                    assert oracle._coset_stabilizers(x, J) == expected, f"{kind}: x={x}"
+                    pairs += 1
+    assert pairs

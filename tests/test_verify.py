@@ -22,6 +22,16 @@ def test_records_render_to_the_cli_report(capsys):
         f"{name}: ok ({coverage})\n" for name, _, coverage in records)
 
 
+def test_verify_at_a_length_cap_below_the_interval_cap(capsys):
+    """No oracle builds an element past length_cap=3 (Deodhar's lemma at the cap,
+    coset membership by coset_rep, product pairs within both caps)."""
+    code = main(["--type", "A3", "--length-cap", "3", *FLAGS[2:]])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert [line.split(" (")[0] for line in lines] == [
+        "words: ok", "intervals: ok", "coset-maxima: ok", "interval-product: ok"]
+
+
 def test_sampled_subsets_follow_the_seed():
     # A5 has 32 subsets J, so each element is checked against 16 of them drawn
     # from the seed; the triple count pins the order of the draws.

@@ -2,13 +2,12 @@
 
 ``normalize`` and ``multiply`` step through known elements up to the first
 new one and then walk the rest of the word on two rows of root sums, so only
-the result is canonicalised, and it holds no inverse matrix until one is
-read.
+the result is canonicalised; like every element, it holds no matrix.
 ``_step`` reads the word of a product whose letter ends the canonical word on
 that side straight off that word.  These tests check both shortcuts against
 the per-letter generator step and against ``_canonical`` itself, and the
-walked root sums against the inverse matrix built later from the walked word
-and against a rebuild of the element's matrix.
+walked root sums, and those of a walk result's left products, against the
+column sums of the matrices of w^-1 and w rebuilt along the walked word.
 """
 
 from __future__ import annotations
@@ -17,7 +16,15 @@ import random
 
 import pytest
 
-from coxbruhat import InternalAssertionFailed, LengthCapExceeded, bruhat, coxeter_system
+from coxbruhat import (
+    CoxeterSystem,
+    InternalAssertionFailed,
+    LengthCapExceeded,
+    bruhat,
+    coxeter_matrix,
+    coxeter_system,
+)
+from coxbruhat.core import Element
 from test_construction import _generator_matrices, _rebuilt
 
 KINDS = ("A~2", "A~3", "H4", "F4", "B4", "I2:7")
@@ -26,6 +33,19 @@ TOL = 1e-9
 
 def _column_sums(mat):
     return [sum(col) for col in zip(*mat)]
+
+
+def _rebuilt_sums(w):
+    """Column sums of the matrices of w^-1 and w, multiplied out along w's word by
+    the tests' own code: what ``_lsum`` and ``_rsum`` should hold."""
+    mat, imat = _rebuilt(w.system, _generator_matrices(w.system), w.word)
+    return _column_sums(imat), _column_sums(mat)
+
+
+def _drift(w):
+    """Largest carried root sum of w off its rebuilt sums."""
+    return max(abs(a - b) for sums, rebuilt in zip((w._lsum, w._rsum), _rebuilt_sums(w))
+               for a, b in zip(sums, rebuilt))
 
 
 def _random_word(rng, system, lo, hi):
@@ -41,6 +61,7 @@ def _fold(system, word):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_every_interned_word_is_the_canonical_word_of_its_matrix(kind):
+    """The matrix is the inverse matrix rebuilt along the interned word."""
     system = coxeter_system(kind)
     rng = random.Random(11)
     for _ in range(150):
@@ -50,7 +71,7 @@ def test_every_interned_word_is_the_canonical_word_of_its_matrix(kind):
         w.inverse()
         u * w
     bad = [el.word for el in system._elements.values()
-           if system._canonical(_column_sums(el._imat), el.length) != el.word]
+           if system._canonical(_rebuilt_sums(el)[0], el.length) != el.word]
     assert not bad, f"{len(bad)} interned words differ, first {bad[:3]}"
 
 
@@ -109,7 +130,7 @@ def test_factor_steps_peel_nothing(kind):
     del system._canonical
     for out, word in steps:
         assert out.word == word
-        assert system._canonical(_column_sums(out._imat), out.length) == word
+        assert system._canonical(_rebuilt_sums(out)[0], out.length) == word
 
 
 def _reduced_word(kind, length, seed):
@@ -122,25 +143,23 @@ def _reduced_word(kind, length, seed):
 
 
 def test_a_walked_element_holds_no_inverse_matrix():
+    """Only the word and two sum rows: no slot holds a matrix, and reading descents,
+    support and a leq builds no element."""
     system = coxeter_system("A~3")
     w = system.normalize(_reduced_word("A~3", 60, seed=2) + (1, 1))
-    assert w.length == 60 and w._invmat is None
+    assert w.length == 60
+    known = len(system._elements)
     w.left_descents, w.right_descents, w.support, bruhat.leq(system.generator(0), w)
-    assert w._invmat is None
-    assert len(w._imat) == system.rank and w._invmat is not None
-
-
-def _rebuilt_matrix(w):
-    """The matrix of w, multiplied out along its word by the tests' own code."""
-    return _rebuilt(w.system, _generator_matrices(w.system), w.word)[0]
+    assert len(system._elements) == known
+    held = [getattr(w, name) for name in Element.__slots__]
+    assert not [v for v in held if isinstance(v, tuple) and v and isinstance(v[0], (tuple, list))]
+    assert all(len(sums) == system.rank for sums in (w._lsum, w._rsum))
 
 
 def _check_walked(w):
-    """w holds no inverse matrix yet, and its walked root sums match the column sums
-    of the inverse matrix then built from its walked word and of w's rebuilt matrix."""
-    assert w._invmat is None
-    drift = max(abs(a - b) for sums, mat in ((w._lsum, w._imat), (w._rsum, _rebuilt_matrix(w)))
-                for a, b in zip(sums, _column_sums(mat)))
+    """w's walked root sums match the column sums of the matrices of w^-1 and w
+    rebuilt from its walked word."""
+    drift = _drift(w)
     assert drift <= TOL, f"{w}: drift {drift}"
 
 
@@ -176,13 +195,46 @@ def test_steps_from_a_walked_element_match_a_fold(kind):
     for seed in range(4):
         walked, word = coxeter_system(kind), _reduced_word(kind, 20, seed) + (0, 0)
         w = walked.normalize(word)
-        assert w._invmat is None
         for s in range(walked.rank):
             for left in (False, True):
                 out = walked._step(w, s, left)
                 ref = _fold(folded, (s,) + word if left else word + (s,))
                 assert out.word == ref.word
-                drift = max(abs(a - b) for m, r in ((out._imat, ref._imat),
-                                                    ([out._rsum], [_column_sums(_rebuilt_matrix(ref))]))
-                            for row, ref_row in zip(m, r) for a, b in zip(row, ref_row))
+                drift = max(_drift(out), _drift(ref))
                 assert drift <= TOL, f"{kind}: {out}"
+
+
+def _walk_result():
+    word = _reduced_word("A~3", 60, seed=5)
+    system = coxeter_system("A~3")
+    w = system.normalize(word)
+    assert w.length == 60
+    return system, word, w
+
+
+def test_walk_result_sums_along_its_word():
+    """A walk result has no neighbour; its sums were carried along the walk."""
+    system, _, w = _walk_result()
+    assert w._rmul == [None] * system.rank
+    _check_walked(w)
+
+
+def test_left_product_of_a_walk_result():
+    """A left product reflects the walk result's right root sums by w^-1(alpha_s)."""
+    system, word, w = _walk_result()
+    for s in range(system.rank):
+        sw = system._step(w, s, left=True)
+        assert sw is system.normalize((s,) + word)
+        _check_walked(sw)
+    _check_walked(w)
+
+
+def test_a_long_affine_walk_keeps_its_sums_in_tolerance():
+    """Right steps to length 2,500 in A~2 keep the carried sums within the peel's
+    tolerance: each step reads its root afresh along the word."""
+    system = CoxeterSystem(coxeter_matrix("A~2"), length_cap=2500)
+    rng = random.Random(1)
+    w = system.identity
+    while w.length < 2500:
+        w = system._step(w, rng.choice([s for s in range(system.rank) if s not in w.right_descents]))
+    assert w.length == 2500
