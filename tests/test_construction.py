@@ -108,7 +108,6 @@ def test_matrices_match_a_rebuild_along_the_canonical_word(name, max_length):
     assert _worst_drift(system, system._elements.values()) < TOL
 
 
-
 @pytest.mark.parametrize("name, max_length", [("B4", None), ("F4", None), ("A~2", 12)])
 def test_enumerated_sums_from_their_neighbours(name, max_length):
     """In ShortLex order each element is a step off a shorter neighbour, which gives
