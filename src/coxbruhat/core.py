@@ -22,17 +22,17 @@ left and right descents.  The identity's sums are all ones.  A generator step
 (``w*s`` or ``s*w`` from ``w``) moves the sums on its own side as one row of the
 matrix they sum, and reflects the other side's by one root computed along
 ``w``'s canonical word (``CoxeterSystem._root``); a walk (``normalize``,
-``multiply``) steps to the first new element and carries only the two sum rows
-from there.  Against a rebuild along the canonical word, root sums drift at
-most about 1.5e-13 over all of H3, B4, F4, D5 and H4 with 300 products and
-left products each, and 2.5e-12 over reduced words of length 40-63 in A~2 to
-A~4, built by right steps, left steps or a walk, with their left products.
-For infinite non-affine groups the tolerance does not hold: root coordinates
-grow exponentially, and random reduced walks in the all-5 rank-4 matrix, the
-``(3, inf, 3)`` triangle group and the rank-3 universal group raise
-``InternalAssertionFailed`` from lengths of about 14, 21 and 42 (the ROADMAP
-item "Exact word problem: retire SIGN_TOL" replaces the floats with exact
-arithmetic).  Canonical words are produced
+``multiply``) follows filled neighbour slots, carries only the two sum rows from
+the first empty one and interns only its result.  Against a rebuild along the
+canonical word, root sums drift at most about 1.5e-13 over all of H3, B4, F4, D5
+and H4 with 300 products and left products each, and 2.5e-12 over reduced words
+of length 40-63 in A~2 to A~4, built by right steps, left steps or a walk, with
+their left products.  For infinite non-affine groups the tolerance does not
+hold: root coordinates grow exponentially, and random reduced walks in the
+all-5 rank-4 matrix, the ``(3, inf, 3)`` triangle group and the rank-3
+universal group raise ``InternalAssertionFailed`` from lengths of about 14, 21
+and 42 (the ROADMAP item "Exact word problem: retire SIGN_TOL" replaces the
+floats with exact arithmetic).  Canonical words are produced
 greedily by peeling off the smallest left descent, which needs only the left
 root sums (``_canonical``).  A step dropping an end letter of a canonical word
 peels nothing (factors of ShortLex-least words are ShortLex-least); any other
@@ -507,29 +507,38 @@ class CoxeterSystem:
         return out
 
     def _walk(self, w: Element, letters: Word) -> Element:
-        """w times checked letters: generator steps up to the first new element p, then the
-        rest on p's right root sums (descents, length and cap per letter) and, in a second
-        pass, the left root sums of p*rest, canonicalised once and interned."""
-        known = len(self._elements)
+        """w times checked letters: filled ``_rmul`` slots up to the last known element p.
+        From the first empty slot, p's right root sums follow the rest of the word, that
+        letter included (descents, length and cap per letter), then the left root sums of
+        p*rest in a second pass; the result alone is canonicalised and interned.  A miss
+        at the last letter is a ``_step``, which fills that slot."""
         for i, s in enumerate(letters):
             hit = w._rmul[s]
-            w = hit or self._step(w, s)
-            if hit is None and len(self._elements) != known and i + 1 < len(letters):
+            if hit is None:
                 break
+            w = hit
         else:
             return w
-        rest, sums, length = letters[i + 1:], list(w._rsum), w.length
-        for s in rest:
-            if sums[s] < SIGN_TOL:  # root sum of s, as in right_descents
+        if i + 1 == len(letters):
+            return self._step(w, s)
+        rest, sums, length, nbrs = letters[i:], list(w._rsum), w.length, self._nbrs
+        for s in rest:  # each letter moves the sums like a row of p's matrix
+            x = sums[s]
+            if x < SIGN_TOL:  # root sum of s, as in right_descents
                 length -= 1
             else:
                 length += 1
                 if length > self.length_cap:
                     raise self._too_long(length)
-            self._apply_right(s, sums)  # moves like a row of p's matrix
+            for k, c in nbrs[s]:
+                sums[k] += c * x
+            sums[s] = -x
         lsum = [1.0] * self.rank
         for s in reversed(w.word + rest):  # lsum(s*g) = lsum(g).S_s, a row again
-            self._apply_right(s, lsum)
+            x = lsum[s]
+            for k, c in nbrs[s]:
+                lsum[k] += c * x
+            lsum[s] = -x
         return self._intern(self._canonical(lsum, length), tuple(lsum), tuple(sums))
 
     def _too_long(self, length: int) -> LengthCapExceeded:

@@ -98,6 +98,8 @@ def test_matrices_match_a_rebuild_along_the_canonical_word(name, max_length):
         system._step(u, rng.randrange(system.rank), left=True)
         if w.word:  # a left down-step: leq builds no element
             system._step(w, w.word[0], left=True)
+        if u.word:  # a right down-step: a walk interns no prefix
+            system._step(u, u.word[-1])
     elems = system.elements(max_length)
     for _ in range(2000):
         a, b = rng.choice(elems), rng.choice(elems)

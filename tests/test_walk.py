@@ -1,8 +1,9 @@
 """Words become elements without canonicalising their prefixes.
 
-``normalize`` and ``multiply`` step through known elements up to the first
-new one and then walk the rest of the word on two rows of root sums, so only
-the result is canonicalised; like every element, it holds no matrix.
+``normalize`` and ``multiply`` follow filled neighbour slots up to the first
+empty one and then walk the rest of the word on two rows of root sums, so only
+the result is canonicalised and interned; like every element, it holds no
+matrix.
 ``_step`` reads the word of a product whose letter ends the canonical word on
 that side straight off that word.  These tests check both shortcuts against
 the per-letter generator step and against ``_canonical`` itself, and the
@@ -91,14 +92,16 @@ def test_cap_on_an_intermediate_length_before_and_after_the_walk_starts():
     word = (0, 1, 2, 0, 0)  # s1 s2 s3 s1 s1: length 4 on the way, 3 at the end
     cold = coxeter_system("A3", length_cap=3)
     with pytest.raises(LengthCapExceeded, match="length 4 exceeds length_cap=3"):
-        cold.normalize(word)  # s1 s2 is the first new element; the walk raises
-    assert sorted(cold._elements) == [(), (0,), (0, 1), (1,), (2,)]
+        cold.normalize(word)  # s1's slot for s2 is empty; the walk carries from s1 and raises
+    assert sorted(cold._elements) == [(), (0,), (1,), (2,)]  # a failed walk interns nothing
 
     warm = coxeter_system("A3", length_cap=3)
-    warm.normalize(word[:3])
+    _fold(warm, word[:3])  # fills the slots of every prefix
     known = len(warm._elements)
     with pytest.raises(LengthCapExceeded, match="length 4 exceeds length_cap=3"):
-        warm.normalize(word)  # every prefix is known; the generator step raises
+        warm.normalize(word)  # the walk carries from s1 s2 s3 and raises
+    with pytest.raises(LengthCapExceeded, match="length 4 exceeds length_cap=3"):
+        warm.normalize(word[:4])  # one letter left: the generator step raises
     assert len(warm._elements) == known
 
 
@@ -202,6 +205,38 @@ def test_steps_from_a_walked_element_match_a_fold(kind):
                 assert out.word == ref.word
                 drift = max(_drift(out), _drift(ref))
                 assert drift <= TOL, f"{kind}: {out}"
+
+
+def _count_steps(system):
+    """Wrap the system's _step; the returned list gets one entry a call."""
+    step, calls = system._step, []
+
+    def counted(w, s, left=False):
+        calls.append(s)
+        return step(w, s, left)
+
+    system._step = counted
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["A~3", "H4"])
+def test_a_walk_interns_only_its_result(kind):
+    word = _reduced_word(kind, 40, seed=7)
+    system = coxeter_system(kind)
+    steps, before = _count_steps(system), set(system._elements.values())
+    w = system.normalize(word)
+    assert w.word == word
+    assert [el for el in system._elements.values() if el not in before] == [w]
+    assert len(steps) <= 1
+
+    known = len(system._elements)
+    assert system.normalize(word) is w  # a repeat walk interns nothing
+    assert len(system._elements) == known
+
+    b = system.normalize(_reduced_word(kind, 12, seed=8))
+    before = set(system._elements.values())
+    ab = w * b
+    assert [el for el in system._elements.values() if el not in before] == [ab]
 
 
 def _walk_result():
