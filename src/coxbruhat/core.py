@@ -21,9 +21,11 @@ rows of root sums, the column sums of the matrices of w^-1 and w, which give its
 left and right descents.  The identity's sums are all ones.  A generator step
 (``w*s`` or ``s*w`` from ``w``) moves the sums on its own side as one row of the
 matrix they sum, and reflects the other side's by one root computed along
-``w``'s canonical word (``CoxeterSystem._root``); a walk (``normalize``,
-``multiply``) follows filled neighbour slots, carries only the two sum rows from
-the first empty one and interns only its result.  Against a rebuild along the
+``w``'s canonical word (``CoxeterSystem._root``).  A walk (``normalize``,
+``multiply``) follows filled neighbour slots; from the first empty one a single
+backward pass moves the left sums along the whole word and counts the length,
+and only the result is interned.  Its right sums are moved along its canonical
+word on first read (``CoxeterSystem._right_sums``).  Against a rebuild along the
 canonical word, root sums drift at most about 1.5e-13 over all of H3, B4, F4, D5
 and H4 with 300 products and left products each, and 2.5e-12 over reduced words
 of length 40-63 in A~2 to A~4, built by right steps, left steps or a walk, with
@@ -109,7 +111,8 @@ class Element:
         self.word = word
         self.length = len(word)
         # <w^-1 alpha_t, rho> and <w alpha_t, rho> per t: the column sums of the
-        # matrices of w^-1 and of w, neither of which is built
+        # matrices of w^-1 and of w, neither of which is built; a walk result's
+        # rsum is None until CoxeterSystem._right_sums reads it along the word
         self._lsum, self._rsum = lsum, rsum
         self._left = self._right = self._support = None  # GenSets, interned on first read
         self._inv: Element | None = None
@@ -131,7 +134,8 @@ class Element:
     @property
     def right_descents(self) -> GenSet:
         if self._right is None:
-            d = frozenset(s for s, v in enumerate(self._rsum) if v < SIGN_TOL)
+            rsum = self._rsum or self.system._right_sums(self)
+            d = frozenset(s for s, v in enumerate(rsum) if v < SIGN_TOL)
             self._right = self.system._gensets.setdefault(d, d)
         return self._right
 
@@ -454,7 +458,8 @@ class CoxeterSystem:
         if word and word[0 if left else -1] == s:
             word = word[1:] if left else word[:-1]
         else:
-            newlen = w.length - 1 if (w._lsum if left else w._rsum)[s] < SIGN_TOL else w.length + 1
+            sums = w._lsum if left else w._rsum or self._right_sums(w)
+            newlen = w.length - 1 if sums[s] < SIGN_TOL else w.length + 1
             if newlen > self.length_cap:
                 raise self._too_long(newlen)
             if left:
@@ -465,12 +470,13 @@ class CoxeterSystem:
                 word = self._neighbour_word(w, s, lsum, newlen) or self._canonical(lsum, newlen)
         out = self._elements.get(word)
         if out is None:
+            rsum = w._rsum or self._right_sums(w)
             if left:
                 lsum = lsum or tuple(self._apply_right(s, list(w._lsum)))
-                rsum = self._reflect(w._rsum, self._root(s, w.word))
+                rsum = self._reflect(rsum, self._root(s, w.word))
             else:
                 lsum = lsum or self._reflect(w._lsum, self._root(s, reversed(w.word)))
-                rsum = tuple(self._apply_right(s, list(w._rsum)))
+                rsum = tuple(self._apply_right(s, list(rsum)))
             out = self._intern(word, lsum, rsum)
         slots[s] = out
         (out._lmul if left else out._rmul)[s] = w
@@ -508,10 +514,13 @@ class CoxeterSystem:
 
     def _walk(self, w: Element, letters: Word) -> Element:
         """w times checked letters: filled ``_rmul`` slots up to the last known element p.
-        From the first empty slot, p's right root sums follow the rest of the word, that
-        letter included (descents, length and cap per letter), then the left root sums of
-        p*rest in a second pass; the result alone is canonicalised and interned.  A miss
-        at the last letter is a ``_step``, which fills that slot."""
+        From the first empty slot, one backward pass moves the left root sums from all ones
+        along p.word + rest, that letter included, and counts the length: a letter s
+        shortens the suffix product g exactly when lsum(g)[s] is negative.  The result
+        alone is canonicalised and interned, with no right sums (``_right_sums`` reads them
+        on demand).  A prefix can pass the cap only when p.length + len(rest) does; then
+        p's right sums first follow the rest (descents, length and cap per letter) and the
+        result keeps them.  A miss at the last letter is a ``_step``, which fills that slot."""
         for i, s in enumerate(letters):
             hit = w._rmul[s]
             if hit is None:
@@ -521,8 +530,34 @@ class CoxeterSystem:
             return w
         if i + 1 == len(letters):
             return self._step(w, s)
-        rest, sums, length, nbrs = letters[i:], list(w._rsum), w.length, self._nbrs
-        for s in rest:  # each letter moves the sums like a row of p's matrix
+        rest, rsum, nbrs = letters[i:], None, self._nbrs
+        if w.length + len(rest) > self.length_cap:
+            rsum = self._follow_right(w._rsum or self._right_sums(w), w.length, rest)[0]
+        word, lsum, down = w.word + rest, [1.0] * self.rank, 0
+        for s in reversed(word):  # lsum(s*g) = lsum(g).S_s, a row again
+            x = lsum[s]
+            if x < SIGN_TOL:  # s is a left descent of g: s*g is shorter
+                down += 1
+            for k, c in nbrs[s]:
+                lsum[k] += c * x
+            lsum[s] = -x
+        word = self._canonical(lsum, len(word) - 2 * down)
+        return self._intern(word, tuple(lsum), rsum)
+
+    def _right_sums(self, w: Element) -> tuple:
+        """w's right root sums, moved from all ones along its canonical word and stored;
+        every letter must be an ascent of the prefix before it."""
+        sums, length = self._follow_right((1.0,) * self.rank, 0, w.word)
+        if length != w.length:
+            raise InternalAssertionFailed("a letter of a canonical word is a right descent")
+        w._rsum = sums
+        return sums
+
+    def _follow_right(self, sums, length: int, letters: Word) -> tuple[tuple, int]:
+        """Right root sums and length of g*letters from those of g, raising
+        LengthCapExceeded at the first prefix past the cap."""
+        sums, nbrs = list(sums), self._nbrs
+        for s in letters:  # each letter moves the sums like a row of g's matrix
             x = sums[s]
             if x < SIGN_TOL:  # root sum of s, as in right_descents
                 length -= 1
@@ -533,13 +568,7 @@ class CoxeterSystem:
             for k, c in nbrs[s]:
                 sums[k] += c * x
             sums[s] = -x
-        lsum = [1.0] * self.rank
-        for s in reversed(w.word + rest):  # lsum(s*g) = lsum(g).S_s, a row again
-            x = lsum[s]
-            for k, c in nbrs[s]:
-                lsum[k] += c * x
-            lsum[s] = -x
-        return self._intern(self._canonical(lsum, length), tuple(lsum), tuple(sums))
+        return tuple(sums), length
 
     def _too_long(self, length: int) -> LengthCapExceeded:
         return LengthCapExceeded(f"element of length {length} exceeds length_cap={self.length_cap}")

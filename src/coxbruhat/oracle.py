@@ -2,7 +2,7 @@
 
 These deliberately avoid the algorithms they check: the interval oracle
 closes downward by single-letter deletions over *all* reduced words instead
-of enumerating subwords of one word; the coset-maximum oracle filters the
+of enumerating subwords of one word; the coset-maximum oracle groups the
 interval by coset representative and scans for maxima instead of recursing;
 word equality is decided by bounded braid-move/deletion rewriting instead of
 the geometric representation.  :func:`coset_max_candidates` instead reruns
@@ -24,10 +24,10 @@ from operator import attrgetter
 from typing import Iterable
 
 from .bruhat import leq, lower_interval
-from .core import CoxeterSystem, Element, GenSet, Word, _check_letters, demazure
-from .coset_max import _validate, max_in_coset, max_in_parabolic
+from .core import CoxeterSystem, Element, GenSet, Word, _check_letters, _fold_letters, demazure
+from .coset_max import _fold, _validate, max_in_coset
 from .errors import EmptyIntersection, IntervalTooLarge, NotUnique, SearchBudgetExceeded
-from .parabolic import check_min_rep, coset_rep, decompose, min_reps_in_order
+from .parabolic import _require_min_rep, _split, check_min_rep, min_reps_in_order
 
 
 def all_reduced_words(w: Element) -> tuple[Word, ...]:
@@ -87,8 +87,13 @@ def brute_coset_max(w: Element, x: Element, J: Iterable[int]) -> Element:
     """
     w.system._check_mine(x)
     J = check_min_rep(x, J)
-    members = [y for y in sorted(brute_interval(w), key=attrgetter("length", "word"), reverse=True)
-               if coset_rep(y, J) is x]
+    cache = vars(w.system).setdefault("_brute_cosets_cache", {})
+    groups = cache.get((w, J))
+    if groups is None:  # the interval by coset representative, once per (w, J)
+        groups = cache[w, J] = {}
+        for y in sorted(brute_interval(w), key=attrgetter("length", "word"), reverse=True):
+            groups.setdefault(_split(y, J)[0], []).append(y)
+    members = groups.get(x)
     if not members:
         raise EmptyIntersection(f"[e,{w}] meet {x}W_J is empty")
     maxima = [y for y in members if not any(y is not z and leq(y, z) for z in members)]
@@ -107,24 +112,32 @@ def coset_max_candidates(w: Element, x: Element, J: Iterable[int]) -> frozenset[
     D_L(v) instead and collects the results.  Verification sweeps assert
     the set is exactly {max_in_coset(w, x, J).maximum}.
     """
+    return _candidates(w, x, _validate(w, x, J))
+
+
+def _candidates(w: Element, x: Element, J: GenSet) -> frozenset[Element]:
+    """coset_max_candidates for checked arguments, memoised per (w, x, J).  Each
+    recursive call's x is checked to lie in W^J and below its w, as the public
+    entry checks its own."""
     sys = w.system
-    J = _validate(w, x, J)
     cache = vars(sys).setdefault("_candidates_cache", {})
     key = (w, x, J)
     hit = cache.get(key)
     if hit is not None:
         return hit
     if x.length == 0:
-        out = frozenset((max_in_parabolic(w, J),))
+        out = frozenset((_fold(w, J),))
     else:
-        outside = frozenset(range(sys.rank)) - x.left_descents
-        d = decompose(w, outside, "left")
-        prefix_max = max_in_parabolic(d.u, _coset_stabilizers(x, J))
+        v, u = _split(w, sys._all_gens - x.left_descents, True)
+        prefix_max = _fold(u, frozenset(_coset_stabilizers(x, J)))
         acc = set()
-        for s in sorted(d.v.left_descents):
+        for s in sorted(v.left_descents):
             sx = sys._step(x, s, True)
-            for inner in coset_max_candidates(d.v, sx, J):
-                acc.add(demazure(prefix_max, sys._step(inner, s, True)))
+            _require_min_rep(sx, J)
+            if not leq(sx, v):
+                raise EmptyIntersection(f"{sx} is not below {v}, so [e,w] meet xW_J is empty")
+            for inner in _candidates(v, sx, J):
+                acc.add(_fold_letters(prefix_max, sys._step(inner, s, True).word))
         out = frozenset(acc)
     cache[key] = out
     return out
@@ -140,7 +153,7 @@ def _coset_stabilizers(x: Element, J: GenSet) -> list[int]:
     """
     sys = x.system
     if x.length < sys.length_cap:
-        return [t for t in range(sys.rank) if coset_rep(sys._step(x, t, True), J) is x]
+        return [t for t in range(sys.rank) if _split(sys._step(x, t, True), J)[0] is x]
     return [t for t in range(sys.rank)
             if any(braid_equal(sys, (t,) + x.word, x.word + (t2,)) for t2 in J)]
 

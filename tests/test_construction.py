@@ -60,7 +60,7 @@ def _worst_drift(system, elements):
     worst = 0.0
     for w in elements:
         mat, imat = _rebuilt(system, gens, w.word)
-        for sums, ref in ((w._lsum, imat), (w._rsum, mat)):
+        for sums, ref in ((w._lsum, imat), (w._rsum or system._right_sums(w), mat)):
             worst = max(worst, max(abs(x - sum(col)) for x, col in zip(sums, zip(*ref))))
     return worst
 

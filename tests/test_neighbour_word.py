@@ -45,8 +45,8 @@ def _bad_elements(system, elements):
     for el in elements:
         mat, imat = _matrices_of(gens, el.word, memo)
         lsum, rsum = _column_sums(imat), _column_sums(mat)
-        drift = max(abs(a - b) for sums, ref in ((el._lsum, lsum), (el._rsum, rsum))
-                    for a, b in zip(sums, ref))
+        carried = el._lsum, el._rsum or system._right_sums(el)
+        drift = max(abs(a - b) for sums, ref in zip(carried, (lsum, rsum)) for a, b in zip(sums, ref))
         if system._canonical(lsum, el.length) != el.word or drift > TOL:
             bad.append(el.word)
     return bad

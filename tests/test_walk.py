@@ -1,9 +1,11 @@
 """Words become elements without canonicalising their prefixes.
 
 ``normalize`` and ``multiply`` follow filled neighbour slots up to the first
-empty one and then walk the rest of the word on two rows of root sums, so only
-the result is canonicalised and interned; like every element, it holds no
-matrix.
+empty one and then make one backward pass of the left root sums over the whole
+word, which also counts the length, so only the result is canonicalised and
+interned; like every element, it holds no matrix.  The result's right sums
+are read along its canonical word on first use (``_right_sums``); only a walk
+that might pass the length cap carries them forward, letter by letter.
 ``_step`` reads the word of a product whose letter ends the canonical word on
 that side straight off that word.  These tests check both shortcuts against
 the per-letter generator step and against ``_canonical`` itself, and the
@@ -45,7 +47,8 @@ def _rebuilt_sums(w):
 
 def _drift(w):
     """Largest carried root sum of w off its rebuilt sums."""
-    return max(abs(a - b) for sums, rebuilt in zip((w._lsum, w._rsum), _rebuilt_sums(w))
+    carried = w._lsum, w._rsum or w.system._right_sums(w)
+    return max(abs(a - b) for sums, rebuilt in zip(carried, _rebuilt_sums(w))
                for a, b in zip(sums, rebuilt))
 
 
@@ -248,7 +251,8 @@ def _walk_result():
 
 
 def test_walk_result_sums_along_its_word():
-    """A walk result has no neighbour; its sums were carried along the walk."""
+    """A walk result has no neighbour; its left sums were carried along the walk,
+    its right sums are read along its word."""
     system, _, w = _walk_result()
     assert w._rmul == [None] * system.rank
     _check_walked(w)
@@ -273,3 +277,56 @@ def test_a_long_affine_walk_keeps_its_sums_in_tolerance():
     while w.length < 2500:
         w = system._step(w, rng.choice([s for s in range(system.rank) if s not in w.right_descents]))
     assert w.length == 2500
+
+
+@pytest.mark.parametrize("kind", ["A~2", "A~3", "A~4", "H4", "F4"])
+def test_a_walk_result_reads_its_right_sums_on_first_use(kind):
+    rng = random.Random(kind)
+    for seed in range(4):
+        system = coxeter_system(kind)
+        if kind == "F4":  # no reduced word is this long: fold random letters
+            word = _random_word(rng, system, 40, 64)
+        else:
+            word = _reduced_word(kind, rng.randint(40, 60), seed)
+        w = system.normalize(word)
+        assert w.length > 1 and w._rsum is None
+        w.right_descents
+        drift = max(abs(a - b) for a, b in zip(w._rsum, _rebuilt_sums(w)[1]))
+        assert drift <= TOL, f"{kind}: {w}"
+
+
+def test_right_sums_reject_a_word_with_a_descent():
+    """Every letter of a canonical word is an ascent of the prefix before it; a
+    doubled letter is not."""
+    system, word, w = _walk_result()
+    for k in (1, 30, 59):
+        bad = Element(system, word[:k] + word[k - 1:], w._lsum, None)
+        with pytest.raises(InternalAssertionFailed, match="right descent"):
+            bad.right_descents
+    assert w.right_descents  # the walk result itself reads fine
+
+
+def test_a_walk_of_exactly_length_cap_letters():
+    system = coxeter_system("A~3")
+    word = (0, 1, 2, 3) * 16
+    w = system.normalize(word)
+    assert w.length == len(word) == system.length_cap
+    assert w._rsum is None  # no prefix can pass the cap: no forward pass
+    assert w.word == _fold(coxeter_system("A~3"), word).word
+
+
+def test_a_long_word_whose_prefixes_stay_under_the_cap():
+    base = _reduced_word("A~3", 8, seed=1)
+    system = CoxeterSystem(coxeter_matrix("A~3"), length_cap=10)
+    w = system.normalize(base + (0, 0) * 6)  # 20 letters, no prefix longer than 9
+    assert w.word == _fold(coxeter_system("A~3"), base).word
+    assert w._rsum is not None  # carried forward to check the cap, and kept
+    _check_walked(w)
+
+
+def test_a_prefix_over_the_cap_raises_at_its_length():
+    up = _reduced_word("A~3", 11, seed=2)
+    system = CoxeterSystem(coxeter_matrix("A~3"), length_cap=10)
+    with pytest.raises(LengthCapExceeded, match="length 11 exceeds length_cap=10"):
+        system.normalize(up + up[::-1])  # back to e, through a prefix of length 11
+    assert len(system._elements) == 1 + system.rank
