@@ -102,7 +102,7 @@ def lower_interval(w: Element) -> Interval:
         rows.append([])
         for k in range(len(rows) - 1):  # rows[k + 1] gains products u*s, which skip s
             new = [x for u in rows[k] if s not in u.right_descents
-                   and (x := sys._step(u, s)) not in seen]
+                   and (x := u._rmul[s] or sys._step(u, s)) not in seen]
             seen.update(new)
             rows[k + 1] += new
     ranks = tuple(tuple(sorted(row, key=attrgetter("word"))) for row in rows)  # ShortLex
@@ -115,7 +115,8 @@ def _lift_covers(y: Element, s: int, down) -> list[Element]:
     """The covers of y from ``down``, the covers of ys, for s a right descent
     of y: ys and each us with u in ``down`` and us > u (lifting property)."""
     step = y.system._step
-    return [step(y, s)] + [step(u, s) for u in down if s not in u.right_descents]
+    return [y._rmul[s] or step(y, s)] + [u._rmul[s] or step(u, s) for u in down
+                                         if s not in u.right_descents]
 
 
 def covers(w: Element) -> frozenset[Element]:

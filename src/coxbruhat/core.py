@@ -21,7 +21,8 @@ rows of root sums, the column sums of the matrices of w^-1 and w, which give its
 left and right descents.  The identity's sums are all ones.  A generator step
 (``w*s`` or ``s*w`` from ``w``) moves the sums on its own side as one row of the
 matrix they sum, and reflects the other side's by one root computed along
-``w``'s canonical word (``CoxeterSystem._root``).  A walk (``normalize``,
+``w``'s canonical word (``CoxeterSystem._root``); a right product whose
+neighbour is known reads it only when new (see below).  A walk (``normalize``,
 ``multiply``) follows filled neighbour slots; from the first empty one a single
 backward pass moves the left sums along the whole word and counts the length,
 and only the result is interned.  Its right sums are moved along its canonical
@@ -38,9 +39,13 @@ floats with exact arithmetic).  Canonical words are produced
 greedily by peeling off the smallest left descent, which needs only the left
 root sums (``_canonical``).  A step dropping an end letter of a canonical word
 peels nothing (factors of ShortLex-least words are ShortLex-least); any other
-right product w*s reads its word off w, tail(w) (w without its first letter) or
-tail(w)*s, with one peel checked against that neighbour
-(``CoxeterSystem._neighbour_word``).
+right product w*s reads its word off w, tail(w) (w without its first letter a)
+or y = tail(w)*s (``CoxeterSystem._neighbour_word``).  When y is interned,
+w*s = a*y, so the left sums of w*s are y's moved by one row: they give the word
+and are checked against the product's own sums when it is interned already, so
+a known product reads no root, and against the sums reflected by its root when
+it is new.  Otherwise the root comes first and one peel of the reflected sums is
+checked against w's.  Sums derived from a neighbour are compared, never stored.
 
 Systems intern their elements: per system each group element exists as one
 immutable Element object, built only by ``CoxeterSystem._intern``.  Equality
@@ -172,7 +177,7 @@ class Element:
         if not self.word:
             return IDENTITY_TOKENS[0]
         names = self.system.names
-        return " ".join(names[s] for s in self.word)
+        return " ".join(map(names.__getitem__, self.word))
 
     def __repr__(self):
         return f"Element({str(self)!r})"
@@ -446,14 +451,19 @@ class CoxeterSystem:
         rsum(s w)[t] = rsum(w)[t] - 2B(alpha_t, w^-1 alpha_s), with the root read along
         w's canonical word (``_root``).  When s ends w's word on that side, the rest of
         the word is the product's: a factor of a ShortLex-least word is ShortLex-least.
-        Other right products read their word off a neighbour (``_neighbour_word``);
-        left products, and right ones whose neighbour is not interned, peel it
-        (``_canonical``).
+        Other right products read their word off a neighbour (``_neighbour_word``).
+        When y = tail(w)*s is interned (in tail(w)'s slot, or w itself when s is a
+        right descent of w but not of tail(w)), w*s = a*y for a = w.word[0], so
+        lsum(w s) = lsum(y).S_a.  Those sums give the word and are checked against the
+        product's own sums when it is interned, which then reads no root, or else
+        against the reflected sums, which the new product keeps.  When y is unknown the
+        reflected sums come first, and one peel of them is checked against w's; if the
+        word would be a*y, it is peeled whole (``_canonical``), as for left products.
         """
         slots = w._lmul if left else w._rmul
-        hit = slots[s]
-        if hit is not None:
-            return hit
+        out = slots[s]
+        if out is not None:
+            return out
         word, lsum = w.word, None
         if word and word[0 if left else -1] == s:
             word = word[1:] if left else word[:-1]
@@ -466,9 +476,29 @@ class CoxeterSystem:
                 lsum = tuple(self._apply_right(s, list(w._lsum)))
                 word = self._canonical(lsum, newlen)
             else:
-                lsum = self._reflect(w._lsum, self._root(s, reversed(word)))
-                word = self._neighbour_word(w, s, lsum, newlen) or self._canonical(lsum, newlen)
-        out = self._elements.get(word)
+                tail = word and self._elements.get(word[1:])
+                y = tail._rmul[s] if tail else None
+                if (y is None and tail and newlen < w.length
+                        and (tail._rsum or self._right_sums(tail))[s] >= SIGN_TOL):
+                    y = w  # exchange condition: w*s drops w's first letter, so tail(w)*s = w
+                if y is None:
+                    lsum = self._reflect(w._lsum, self._root(s, reversed(word)))
+                    near = self._neighbour_word(w, lsum, None)
+                    if near is None:
+                        word = self._canonical(lsum, newlen)
+                    else:  # near = p*w: p starts the longer word, and peeling it gives w
+                        v = self._apply_right(max(near, word, key=len)[0], list(lsum))
+                        self._check_neighbour(near, newlen, v, w._lsum)
+                        word = near
+                else:  # lsum(w*s) = lsum(a*y) = lsum(y).S_a
+                    moved = self._apply_right(word[0], list(y._lsum))
+                    word = self._neighbour_word(w, moved, y)
+                    out = self._elements.get(word)
+                    if out is None:
+                        lsum = self._reflect(w._lsum, self._root(s, reversed(w.word)))
+                    self._check_neighbour(word, newlen, moved, lsum or out._lsum)
+        if out is None:
+            out = self._elements.get(word)
         if out is None:
             rsum = w._rsum or self._right_sums(w)
             if left:
@@ -482,35 +512,33 @@ class CoxeterSystem:
         (out._lmul if left else out._rmul)[s] = w
         return out
 
-    def _neighbour_word(self, w: Element, s: int, lsum, length: int) -> Word | None:
-        """The word of x = w*s, s not ending w's word, off a neighbour with one
-        peel of x's left root sums lsum; None when the neighbour is unknown.
+    def _neighbour_word(self, w: Element, lsum, y: Element | None) -> Word | None:
+        """The word of x = w*s, s not ending w's word, from x's left root sums lsum
+        and y = tail(w)*s (None when it is not interned); None when lsum shows no
+        left descent, or when x = a*y with y unknown.
 
-        With t = min D_L(x) and a = w.word[0]: x = a*(tail(w)*s), and D_L(w)
-        is a subset of D_L(x) for an ascent s, a superset for a descent
-        (Björner-Brenti ch. 1 and Prop. 2.2.7).  So x = t*w when w = e or
-        t < a, x = t*(tail(w)*s) when t = a, and x = tail(w) when t > a.
+        With t = min D_L(x) and a = w.word[0]: x = a*y, and D_L(w) is a subset of
+        D_L(x) for an ascent s, a superset for a descent (Björner-Brenti ch. 1 and
+        Prop. 2.2.7).  So x = t*w when w = e or t < a, x = a*y when t = a, and
+        x = tail(w) when t > a.
         """
         for t, v in enumerate(lsum):
             if v < SIGN_TOL:
                 break
         else:
-            return None  # no left descent: _canonical raises
+            return None
         word = w.word
         if not word or t < word[0]:
-            peel, near, out = t, w, (t,) + word
-        elif t == word[0]:
-            tail = self._elements.get(word[1:])
-            near = tail and tail._rmul[s]
-            if near is None:
-                return None
-            peel, out = t, (t,) + near.word
-        else:
-            peel, near, out = word[0], w, word[1:]
-        v = self._apply_right(peel, list(lsum))  # a peel moves sums like a row
-        if len(out) != length or max(map(abs, map(sub, v, near._lsum))) > 1e-6:
+            return (t,) + word
+        if t > word[0]:
+            return word[1:]
+        return None if y is None else (t,) + y.word
+
+    def _check_neighbour(self, word: Word | None, length: int, v, ref) -> None:
+        """Raise unless word has the product's length and the sums v, moved by one row
+        off a neighbour's, agree with ref, which are not moved off that neighbour's."""
+        if word is None or len(word) != length or max(map(abs, map(sub, v, ref))) > 1e-6:
             raise InternalAssertionFailed("one-peel word does not match its neighbour's sums")
-        return out
 
     def _walk(self, w: Element, letters: Word) -> Element:
         """w times checked letters: filled ``_rmul`` slots up to the last known element p.

@@ -1,14 +1,18 @@
-"""Right products read their word off a known neighbour with one peel.
+"""Right products read their word off a known neighbour, and a root only when new.
 
 ``CoxeterSystem._step`` gives x = w*s the word (t,) + w.word, (t,) +
-(tail(w)*s).word or tail(w).word, t = min D_L(x), and checks one peel of x's
-root sums against that neighbour's.  Only a right product whose neighbour
-tail(w)*s is not interned, and every left product, peels its whole word off
-its left root sums (``_canonical``).  Each new element carries root sums
-derived from its neighbour's.  These tests check the words and the carried
-sums against ``_canonical`` and against the column sums of the matrices of the
-element and its inverse, rebuilt along its word, count the fallbacks, and
-corrupt a neighbour's sums to see the check fire.
+(tail(w)*s).word or tail(w).word, t = min D_L(x).  When y = tail(w)*s is
+interned, x = a*y for a = w.word[0], so x's left root sums are y's moved by one
+row; they give t and are checked against the sums of x when x is already
+interned, which then reads no root, or against the sums reflected by the root
+w(alpha_s) when x is new.  When y is not interned the root comes first and one
+peel of the reflected sums is checked against w's.  Only a right product whose
+neighbour tail(w)*s is not interned, and every left product, peels its whole
+word off its left root sums (``_canonical``).  These tests check the words and
+the stored sums against ``_canonical`` and against the column sums of the
+matrices of the element and its inverse, rebuilt along its word, count the
+fallbacks and the root reads, and corrupt a neighbour's or a known product's
+sums to see the check fire.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import pytest
 
 from coxbruhat import InternalAssertionFailed, coxeter_system
 from coxbruhat.bruhat import lower_interval
+from coxbruhat.dot import hasse_graph
 from test_construction import _generator_matrices, _product, _rebuilt
 
 TOL = 1e-9
@@ -149,3 +154,82 @@ def test_an_unknown_neighbour_falls_back_to_the_full_peel():
     calls = _count_peels(system)
     assert system._step(w, 2).word == (1, 0, 2)
     assert calls == [3]
+
+
+def _count_roots(system):
+    """Wrap the system's _root; the returned list gets one entry a call."""
+    root, calls = system._root, []
+
+    def counted(s, letters):
+        calls.append(s)
+        return root(s, letters)
+
+    system._root = counted
+    return calls
+
+
+@pytest.mark.parametrize("kind, length", [("A5", 12), ("B4", 14), ("D5", 12)])
+def test_intervals_and_hasse_graphs_read_a_root_only_for_new_elements(kind, length):
+    rng = random.Random(kind)
+    for _ in range(3):
+        system = coxeter_system(kind)
+        w = system.normalize(_reduced_word(kind, length, rng))
+        roots, known = _count_roots(system), len(system._elements)
+        lower_interval(w)
+        assert len(roots) <= len(system._elements) - known
+        hasse_graph(w, rng.sample(range(system.rank), system.rank // 2))
+        assert len(roots) <= len(system._elements)
+
+
+def test_enumerating_h4_reads_a_root_only_for_new_elements():
+    system = coxeter_system("H4")
+    roots, known = _count_roots(system), len(system._elements)
+    assert len(system.elements()) == 14400
+    assert len(roots) <= len(system._elements) - known
+
+
+def _with_known_product(branch):
+    """B3 with w, y = tail(w)*s and x = w*s interned, w's slot for s empty: x is
+    normalised first, since a walk to w*s would fill that slot."""
+    text, s, word, _, _ = BRANCHES[branch]
+    system = coxeter_system("B3")
+    x = system.normalize(word)
+    w = system.element(text)
+    y = system.element(NEIGHBOURS[branch])
+    assert w._rmul[s] is None  # y is w itself or is found in tail(w)'s slot
+    assert y is w or system._elements[w.word[1:]]._rmul[s] is y
+    return system, w, s, x, y
+
+
+# tail(w)*s per branch: e*s1, s3*s1 = s1*s3 (w itself) and s1*s3.
+NEIGHBOURS = {"t*w": "s1", "tail(w)": "s1 s3", "t*(tail(w)*s)": "s1 s3"}
+
+
+@pytest.mark.parametrize("branch", sorted(BRANCHES))
+def test_a_known_product_reads_no_root(branch):
+    system, w, s, x, _ = _with_known_product(branch)
+    roots = _count_roots(system)
+    assert system._step(w, s) is x
+    assert roots == []
+
+
+@pytest.mark.parametrize("corrupt", ["tail(w)*s", "w*s"])
+@pytest.mark.parametrize("branch", sorted(BRANCHES))
+def test_a_known_product_checks_the_moved_sums(branch, corrupt):
+    system, w, s, x, y = _with_known_product(branch)
+    _corrupted(y if corrupt == "tail(w)*s" else x, 1)
+    with pytest.raises(InternalAssertionFailed, match="one-peel word"):
+        system._step(w, s)
+
+
+# (w, s) with tail(w)*s not interned: s1*(s2 s1) = s1 s2 s1 takes (t,) + w.word,
+# (s1 s2 s1)*s2 = s2 s1 takes tail(w); the peeled letter is w's or x's first, s1.
+@pytest.mark.parametrize("text, s", [("s2 s1", 1), ("s1 s2 s1", 1)])
+def test_an_unknown_neighbour_keeps_the_one_peel_check(text, s):
+    system = coxeter_system("B3")
+    w = system.element(text)
+    tail = system._elements.get(w.word[1:])
+    assert tail is None or tail._rmul[s] is None
+    _corrupted(w, 0)
+    with pytest.raises(InternalAssertionFailed, match="one-peel word"):
+        system._step(w, s)
