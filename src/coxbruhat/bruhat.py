@@ -101,7 +101,7 @@ def lower_interval(w: Element) -> Interval:
     for s in w.word:
         rows.append([])
         for k in range(len(rows) - 1):  # rows[k + 1] gains products u*s, which skip s
-            new = [x for u in rows[k] if s not in u.right_descents
+            new = [x for u in rows[k] if (u._rsum or sys._right_sums(u))[s] >= SIGN_TOL
                    and (x := u._rmul[s] or sys._step(u, s)) not in seen]
             seen.update(new)
             rows[k + 1] += new
@@ -114,9 +114,9 @@ def lower_interval(w: Element) -> Interval:
 def _lift_covers(y: Element, s: int, down) -> list[Element]:
     """The covers of y from ``down``, the covers of ys, for s a right descent
     of y: ys and each us with u in ``down`` and us > u (lifting property)."""
-    step = y.system._step
-    return [y._rmul[s] or step(y, s)] + [u._rmul[s] or step(u, s) for u in down
-                                         if s not in u.right_descents]
+    sys = y.system
+    return [y._rmul[s] or sys._step(y, s)] + [u._rmul[s] or sys._step(u, s) for u in down
+                                              if (u._rsum or sys._right_sums(u))[s] >= SIGN_TOL]
 
 
 def covers(w: Element) -> frozenset[Element]:

@@ -7,7 +7,7 @@ from operator import attrgetter
 from typing import Iterable
 
 from .bruhat import Interval, _lift_covers, lower_interval
-from .core import Element
+from .core import SIGN_TOL, Element
 
 #: Node colours cycle over the coset representatives in ShortLex order.
 COLORS = ("black", "red", "blue", "green")
@@ -30,8 +30,10 @@ def hasse_graph(w: Element, J: Iterable[int] | None = None) -> HasseGraph:
     if J is not None:
         J = sys.check_genset(J)
         rep: dict[Element, Element] = {}
+        Js = sorted(J)
         for y in itv:  # by rank, so y*t is placed before y for t = min(D_R(y) & J)
-            t = min(y.right_descents & J, default=None)
+            rsum = y._rsum or sys._right_sums(y)
+            t = next((t for t in Js if rsum[t] < SIGN_TOL), None)
             rep[y] = y if t is None else rep[y._rmul[t] or sys._step(y, t)]
         # Each representative is the first member of its coset in ShortLex order.
         index = {x: i for i, x in enumerate(dict.fromkeys(rep.values()))}
