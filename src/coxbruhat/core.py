@@ -40,12 +40,10 @@ greedily by peeling off the smallest left descent, which needs only the left
 root sums (``_canonical``).  A step dropping an end letter of a canonical word
 peels nothing (factors of ShortLex-least words are ShortLex-least); any other
 right product w*s reads its word off w, tail(w) (w without its first letter a)
-or y = tail(w)*s (``CoxeterSystem._neighbour_word``).  When y is interned,
-w*s = a*y, so the left sums of w*s are y's moved by one row: they give the word
-and are checked against the product's own sums when it is interned already, so
-a known product reads no root, and against the sums reflected by its root when
-it is new.  Otherwise the root comes first and one peel of the reflected sums is
-checked against w's.  Sums derived from a neighbour are compared, never stored.
+or y = tail(w)*s (``CoxeterSystem._neighbour_word``).  When y is interned, the
+left sums of w*s = a*y are y's moved by one row; they are checked against the
+product's own sums if it is interned, else against those reflected by its root,
+so only a new product reads a root.  Sums moved off a neighbour are never stored.
 
 Systems intern their elements: per system each group element exists as one
 immutable Element object, built only by ``CoxeterSystem._intern``.  Equality
@@ -535,8 +533,8 @@ class CoxeterSystem:
         return None if y is None else (t,) + y.word
 
     def _check_neighbour(self, word: Word | None, length: int, v, ref) -> None:
-        """Raise unless word has the product's length and the sums v, moved by one row
-        off a neighbour's, agree with ref, which are not moved off that neighbour's."""
+        """Raise unless word is given, has the product's length, and the sums v
+        agree with ref to within 1e-6."""
         if word is None or len(word) != length or max(map(abs, map(sub, v, ref))) > 1e-6:
             raise InternalAssertionFailed("one-peel word does not match its neighbour's sums")
 

@@ -222,6 +222,13 @@ def test_a_known_product_checks_the_moved_sums(branch, corrupt):
         system._step(w, s)
 
 
+def test_moved_sums_with_no_left_descent_fail_the_check():
+    system, w, s, _, y = _with_known_product("t*(tail(w)*s)")
+    y._lsum = (10.0, -1.0, 10.0)  # moved by S_a, a = s2: every sum positive
+    with pytest.raises(InternalAssertionFailed, match="one-peel word"):
+        system._step(w, s)
+
+
 # (w, s) with tail(w)*s not interned: s1*(s2 s1) = s1 s2 s1 takes (t,) + w.word,
 # (s1 s2 s1)*s2 = s2 s1 takes tail(w); the peeled letter is w's or x's first, s1.
 @pytest.mark.parametrize("text, s", [("s2 s1", 1), ("s1 s2 s1", 1)])
