@@ -33,8 +33,12 @@ def hasse_graph(w: Element, J: Iterable[int] | None = None) -> HasseGraph:
         Js = sorted(J)
         for y in itv:  # by rank, so y*t is placed before y for t = min(D_R(y) & J)
             rsum = y._rsum or sys._right_sums(y)
-            t = next((t for t in Js if rsum[t] < SIGN_TOL), None)
-            rep[y] = y if t is None else rep[y._rmul[t] or sys._step(y, t)]
+            for t in Js:
+                if rsum[t] < SIGN_TOL:
+                    rep[y] = rep[y._rmul[t] or sys._step(y, t)]
+                    break
+            else:
+                rep[y] = y
         # Each representative is the first member of its coset in ShortLex order.
         index = {x: i for i, x in enumerate(dict.fromkeys(rep.values()))}
         colors = {y: COLORS[index[x] % len(COLORS)] for y, x in rep.items()}
@@ -43,7 +47,8 @@ def hasse_graph(w: Element, J: Iterable[int] | None = None) -> HasseGraph:
         s = y.word[-1]
         down[y] = _lift_covers(y, s, down[y._rmul[s] or sys._step(y, s)])
     # Covers of y share one length, so sorting by word is ShortLex.
-    edges = tuple((c, y) for y, cs in down.items() for c in sorted(cs, key=attrgetter("word")))
+    word = attrgetter("word")
+    edges = tuple([(c, y) for y, cs in down.items() for c in sorted(cs, key=word)])
     return HasseGraph(interval=itv, colors=colors, edges=edges)
 
 
@@ -59,7 +64,6 @@ def hasse_dot(w: Element, J: Iterable[int] | None = None) -> str:
         if len(row) > 1:
             names = " ".join(name[y] + ";" for y in row)
             lines.append(f"  {{ rank=same; {names} }}")
-    for c, y in g.edges:
-        lines.append(f"  {name[c]} -- {name[y]};")
+    lines += [f"  {name[c]} -- {name[y]};" for c, y in g.edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
