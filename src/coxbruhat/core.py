@@ -38,12 +38,14 @@ and 42 (the ROADMAP item "Exact word problem: retire SIGN_TOL" replaces the
 floats with exact arithmetic).  Canonical words are produced
 greedily by peeling off the smallest left descent, which needs only the left
 root sums (``_canonical``).  A step dropping an end letter of a canonical word
-peels nothing (factors of ShortLex-least words are ShortLex-least); any other
-right product w*s reads its word off w, tail(w) (w without its first letter a)
-or y = tail(w)*s (``CoxeterSystem._neighbour_word``).  When y is interned, the
-left sums of w*s = a*y are y's moved by one row; they are checked against the
-product's own sums if it is interned, else against those reflected by its root,
-so only a new product reads a root.  Sums moved off a neighbour are never stored.
+peels nothing (factors of ShortLex-least words are ShortLex-least).  A right
+product w*s whose neighbour y = tail(w)*s is interned (tail(w) is w without its
+first letter a) reads its word off w, tail(w) or y
+(``CoxeterSystem._neighbour_word``): the left sums of w*s = a*y are y's moved by
+one row, and they are checked against the product's own sums if it is interned,
+else against those reflected by its root, so only a new product reads a root.
+Sums moved off a neighbour are never stored.  Any other product, left or right,
+peels its whole word off its new left sums.
 
 Systems intern their elements: per system each group element exists as one
 immutable Element object, built only by ``CoxeterSystem._intern``.  Equality
@@ -105,8 +107,8 @@ class Element:
     """
 
     __slots__ = (
-        "system", "word", "length", "_lsum", "_rsum", "_left", "_right", "_inv",
-        "_support", "_rmul", "_lmul",
+        "system", "word", "length", "_lsum", "_rsum", "_left", "_right", "_support",
+        "_rmul", "_lmul",
     )
 
     def __init__(self, system: "CoxeterSystem", word: Word, lsum, rsum):
@@ -118,7 +120,6 @@ class Element:
         # rsum is None until CoxeterSystem._right_sums reads it along the word
         self._lsum, self._rsum = lsum, rsum
         self._left = self._right = self._support = None  # GenSets, interned on first read
-        self._inv: Element | None = None
         self._rmul: list[Element | None] = [None] * system.rank  # _rmul[s] = self * s
         self._lmul: list[Element | None] = [None] * system.rank  # _lmul[s] = s * self
 
@@ -150,12 +151,7 @@ class Element:
         return self._left
 
     def inverse(self) -> "Element":
-        if self._inv is None:
-            inv = self.system.normalize(self.word[::-1])
-            self._inv = inv
-            if inv._inv is None:
-                inv._inv = self
-        return self._inv
+        return self.system.normalize(self.word[::-1])
 
     def star(self, other: "Element") -> "Element":
         """Demazure (0-Hecke) product; see :func:`demazure`."""
@@ -449,14 +445,13 @@ class CoxeterSystem:
         rsum(s w)[t] = rsum(w)[t] - 2B(alpha_t, w^-1 alpha_s), with the root read along
         w's canonical word (``_root``).  When s ends w's word on that side, the rest of
         the word is the product's: a factor of a ShortLex-least word is ShortLex-least.
-        Other right products read their word off a neighbour (``_neighbour_word``).
         When y = tail(w)*s is interned (in tail(w)'s slot, or w itself when s is a
         right descent of w but not of tail(w)), w*s = a*y for a = w.word[0], so
-        lsum(w s) = lsum(y).S_a.  Those sums give the word and are checked against the
-        product's own sums when it is interned, which then reads no root, or else
-        against the reflected sums, which the new product keeps.  When y is unknown the
-        reflected sums come first, and one peel of them is checked against w's; if the
-        word would be a*y, it is peeled whole (``_canonical``), as for left products.
+        lsum(w s) = lsum(y).S_a.  Those sums give the word (``_neighbour_word``) and are
+        checked against the product's own sums when it is interned, which then reads no
+        root, or else against the reflected sums, which the new product keeps.  Every
+        other product, left products and right products with y unknown alike, peels its
+        whole word off its new left sums (``_canonical``).
         """
         slots = w._lmul if left else w._rmul
         out = slots[s]
@@ -470,31 +465,28 @@ class CoxeterSystem:
             newlen = w.length - 1 if sums[s] < SIGN_TOL else w.length + 1
             if newlen > self.length_cap:
                 raise self._too_long(newlen)
-            if left:
-                lsum = tuple(self._apply_right(s, list(w._lsum)))
-                word = self._canonical(lsum, newlen)
-            else:
+            y = None
+            if not left:
                 tail = word and self._elements.get(word[1:])
                 y = tail._rmul[s] if tail else None
                 if (y is None and tail and newlen < w.length
                         and (tail._rsum or self._right_sums(tail))[s] >= SIGN_TOL):
                     y = w  # exchange condition: w*s drops w's first letter, so tail(w)*s = w
-                if y is None:
+            if y is None:  # the whole word is peeled off the moved or reflected sums
+                if left:
+                    lsum = tuple(self._apply_right(s, list(w._lsum)))
+                else:
                     lsum = self._reflect(w._lsum, self._root(s, reversed(word)))
-                    near = self._neighbour_word(w, lsum, None)
-                    if near is None:
-                        word = self._canonical(lsum, newlen)
-                    else:  # near = p*w: p starts the longer word, and peeling it gives w
-                        v = self._apply_right(max(near, word, key=len)[0], list(lsum))
-                        self._check_neighbour(near, newlen, v, w._lsum)
-                        word = near
-                else:  # lsum(w*s) = lsum(a*y) = lsum(y).S_a
-                    moved = self._apply_right(word[0], list(y._lsum))
-                    word = self._neighbour_word(w, moved, y)
-                    out = self._elements.get(word)
-                    if out is None:
-                        lsum = self._reflect(w._lsum, self._root(s, reversed(w.word)))
-                    self._check_neighbour(word, newlen, moved, lsum or out._lsum)
+                word = self._canonical(lsum, newlen)
+            else:  # lsum(w*s) = lsum(a*y) = lsum(y).S_a
+                moved = self._apply_right(word[0], list(y._lsum))
+                word = self._neighbour_word(w, moved, y)
+                out = self._elements.get(word)
+                if out is None:
+                    lsum = self._reflect(w._lsum, self._root(s, reversed(w.word)))
+                if len(word) != newlen or max(map(abs, map(sub, moved, lsum or out._lsum))) > 1e-6:
+                    raise InternalAssertionFailed(
+                        "one-peel word does not match its neighbour's sums")
         if out is None:
             out = self._elements.get(word)
         if out is None:
@@ -510,33 +502,25 @@ class CoxeterSystem:
         (out._lmul if left else out._rmul)[s] = w
         return out
 
-    def _neighbour_word(self, w: Element, lsum, y: Element | None) -> Word | None:
-        """The word of x = w*s, s not ending w's word, from x's left root sums lsum
-        and y = tail(w)*s (None when it is not interned); None when lsum shows no
-        left descent, or when x = a*y with y unknown.
+    def _neighbour_word(self, w: Element, lsum, y: Element) -> Word:
+        """The word of x = w*s, s not ending w's nonempty word, from x's left root
+        sums lsum and the interned y = tail(w)*s; the identity's word () when lsum
+        shows no left descent.
 
         With t = min D_L(x) and a = w.word[0]: x = a*y, and D_L(w) is a subset of
         D_L(x) for an ascent s, a superset for a descent (Björner-Brenti ch. 1 and
-        Prop. 2.2.7).  So x = t*w when w = e or t < a, x = a*y when t = a, and
-        x = tail(w) when t > a.
+        Prop. 2.2.7).  So x = t*w when t < a, x = a*y when t = a, and x = tail(w)
+        when t > a.
         """
         for t, v in enumerate(lsum):
             if v < SIGN_TOL:
                 break
         else:
-            return None
+            return ()
         word = w.word
-        if not word or t < word[0]:
+        if t < word[0]:
             return (t,) + word
-        if t > word[0]:
-            return word[1:]
-        return None if y is None else (t,) + y.word
-
-    def _check_neighbour(self, word: Word | None, length: int, v, ref) -> None:
-        """Raise unless word is given, has the product's length, and the sums v
-        agree with ref to within 1e-6."""
-        if word is None or len(word) != length or max(map(abs, map(sub, v, ref))) > 1e-6:
-            raise InternalAssertionFailed("one-peel word does not match its neighbour's sums")
+        return word[1:] if t > word[0] else (t,) + y.word
 
     def _walk(self, w: Element, letters: Word) -> Element:
         """w times checked letters: filled ``_rmul`` slots up to the last known element p.

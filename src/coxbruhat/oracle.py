@@ -23,10 +23,10 @@ import random
 from operator import attrgetter
 from typing import Iterable
 
-from .bruhat import leq, lower_interval
+from .bruhat import _check_interval_cap, leq, lower_interval
 from .core import CoxeterSystem, Element, GenSet, Word, _check_letters, _fold_letters, demazure
 from .coset_max import _fold, _validate, max_in_coset
-from .errors import EmptyIntersection, IntervalTooLarge, NotUnique, SearchBudgetExceeded
+from .errors import EmptyIntersection, NotUnique, SearchBudgetExceeded
 from .parabolic import _require_min_rep, _split, check_min_rep, min_reps_in_order
 
 
@@ -56,9 +56,8 @@ def brute_interval(w: Element) -> frozenset[Element]:
     single letter deleted and the result normalised, until nothing new
     appears.  No subword enumeration is involved.
     """
+    _check_interval_cap(w)
     sys = w.system
-    if w.length > sys.interval_cap:
-        raise IntervalTooLarge(f"length {w.length} exceeds interval cap {sys.interval_cap}")
     cache = vars(sys).setdefault("_brute_cache", {})
     cached = cache.get(w)
     if cached is not None:

@@ -1,18 +1,17 @@
 """Right products read their word off a known neighbour, and a root only when new.
 
 ``CoxeterSystem._step`` gives x = w*s the word (t,) + w.word, (t,) +
-(tail(w)*s).word or tail(w).word, t = min D_L(x).  When y = tail(w)*s is
-interned, x = a*y for a = w.word[0], so x's left root sums are y's moved by one
+(tail(w)*s).word or tail(w).word, t = min D_L(x), when y = tail(w)*s is
+interned: x = a*y for a = w.word[0], so x's left root sums are y's moved by one
 row; they give t and are checked against the sums of x when x is already
 interned, which then reads no root, or against the sums reflected by the root
-w(alpha_s) when x is new.  When y is not interned the root comes first and one
-peel of the reflected sums is checked against w's.  Only a right product whose
-neighbour tail(w)*s is not interned, and every left product, peels its whole
-word off its left root sums (``_canonical``).  These tests check the words and
-the stored sums against ``_canonical`` and against the column sums of the
+w(alpha_s) when x is new.  A right product whose neighbour tail(w)*s is not
+interned, and every left product, peels its whole word off its left root sums
+(``_canonical``), which must reach the identity.  These tests check the words
+and the stored sums against ``_canonical`` and against the column sums of the
 matrices of the element and its inverse, rebuilt along its word, count the
-fallbacks and the root reads, and corrupt a neighbour's or a known product's
-sums to see the check fire.
+full peels and the root reads, and corrupt a neighbour's, a known product's or
+w's own sums to see the checks fire.
 """
 
 from __future__ import annotations
@@ -147,13 +146,21 @@ def test_a_corrupted_neighbour_fails_the_one_peel_check(branch):
         system._step(w, s)
 
 
-def test_an_unknown_neighbour_falls_back_to_the_full_peel():
+# (w, s, word of w*s, peel lengths) with tail(w)*s not interned: (s2 s1)*s3 =
+# s2*(s1 s3), s1*(s2 s1) = s1 s2 s1 is (t,) + w.word, (s1 s2 s1)*s2 = s2 s1 is tail(w).
+@pytest.mark.parametrize("text, s, word, peels", [
+    ("s2 s1", 2, (1, 0, 2), [3]),
+    ("s2 s1", 1, (0, 1, 0), [3]),
+    ("s1 s2 s1", 1, (1, 0), [2]),
+], ids=["t*(tail(w)*s)", "t*w", "tail(w)"])
+def test_an_unknown_neighbour_falls_back_to_the_full_peel(text, s, word, peels):
     system = coxeter_system("B3")
-    w = system.element("s2 s1")
-    assert (0, 2) not in system._elements  # tail(w)*s = s1*s3 is not interned
+    w = system.element(text)
+    tail = system._elements.get(w.word[1:])
+    assert tail is None or tail._rmul[s] is None
     calls = _count_peels(system)
-    assert system._step(w, 2).word == (1, 0, 2)
-    assert calls == [3]
+    assert system._step(w, s).word == word
+    assert calls == peels
 
 
 def _count_roots(system):
@@ -229,14 +236,14 @@ def test_moved_sums_with_no_left_descent_fail_the_check():
         system._step(w, s)
 
 
-# (w, s) with tail(w)*s not interned: s1*(s2 s1) = s1 s2 s1 takes (t,) + w.word,
-# (s1 s2 s1)*s2 = s2 s1 takes tail(w); the peeled letter is w's or x's first, s1.
+# (w, s) with tail(w)*s not interned, as above: w's corrupted first sum is
+# reflected into the product's, so the full peel does not reach the identity.
 @pytest.mark.parametrize("text, s", [("s2 s1", 1), ("s1 s2 s1", 1)])
-def test_an_unknown_neighbour_keeps_the_one_peel_check(text, s):
+def test_an_unknown_neighbour_fails_the_full_peel_check(text, s):
     system = coxeter_system("B3")
     w = system.element(text)
     tail = system._elements.get(w.word[1:])
     assert tail is None or tail._rmul[s] is None
     _corrupted(w, 0)
-    with pytest.raises(InternalAssertionFailed, match="one-peel word"):
+    with pytest.raises(InternalAssertionFailed, match="did not reach the identity"):
         system._step(w, s)
