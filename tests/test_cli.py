@@ -347,6 +347,68 @@ GOLDEN_CASES = {
         " s1 s2 s1 s3 s1 s2 s1 s3 s1 s2 s1 s3 s1 s2 s1 s3 s2 s1 s3 s2",
         "--x", "s1 s2 s1 s3 s1 s2 s1 s3 s1 s2 s1 s3 s1 s2 s1 s3 s1 s2 s1 s3"
         " s1 s2 s1 s3 s1 s2 s1 s3 s1 s2 s1 s3 s2 s1"),
+    # one case for every subcommand and format pair, so the JSON echo of the
+    # parsed flags and every text layout are locked in
+    "len.txt": ("--type", "A3", "len", "--w", "s2 s1 s2 s3"),
+    "len_perm.json": ("--type", "A3", "--format", "json", "len", "--perm", "4231"),
+    "leq.txt": ("--type", "A3", "leq", "--u", "s1 s3", "--w", "s1 s2 s3 s2 s1"),
+    "leq.json": ("--type", "A3", "--format", "json", "leq", "--u", "s3 s1", "--w", "s2 s1"),
+    "interval.json": ("--type", "A3", "--format", "json", "interval", "--w", "s2 s1 s3 s2"),
+    "covers.txt": ("--type", "A3", "covers", "--w", "s1 s2 s3 s2 s1"),
+    "covers.json": ("--type", "A3", "--format", "json", "covers", "--w", "s1 s2 s3 s2 s1"),
+    "poincare.txt": ("--type", "B3", "poincare", "--w", "s1 s2 s3 s2 s1"),
+    "poincare.json": ("--type", "B3", "--format", "json", "poincare", "--w", "s1 s2 s3 s2 s1"),
+    "poincare_rel.txt": (
+        "--type", "A3", "poincare-rel", "--w", "s2 s1 s3 s2", "--J", "s1,s3"),
+    "poincare_rel.json": (
+        "--type", "A3", "--format", "json", "poincare-rel", "--w", "s2 s1 s3 s2", "--J", "s1,s3"),
+    "decompose.txt": (
+        "--type", "A3", "decompose", "--w", "s1 s2 s3 s2 s1", "--J", "s1,s2"),
+    "decompose_left.txt": (
+        "--type", "A3", "decompose", "--w", "s1 s2 s3 s2 s1", "--J", "s1,s2", "--side", "left"),
+    "decompose.json": (
+        "--type", "A3", "--format", "json", "decompose", "--w", "s1 s2 s3 s2 s1", "--J", "s2,s3"),
+    "coset_rep.txt": ("--type", "A3", "coset-rep", "--w", "s1 s2 s3 s2 s1", "--J", "s1,s2"),
+    "coset_rep.json": (
+        "--type", "A3", "--format", "json", "coset-rep", "--w", "s1 s2 s3 s2 s1", "--J", "-"),
+    "max_coset.txt": (
+        "--type", "A4", "max-coset", "--w", "s3 s1 s2 s4 s3 s2 s1", "--x", "s4 s3",
+        "--J", "s1,s2,s4"),
+    "max_coset.json": (
+        "--type", "A4", "--format", "json", "max-coset", "--w", "s3 s1 s2 s4 s3 s2 s1",
+        "--x", "s4 s3", "--J", "s1,s2,s4"),
+    "max_set.txt": ("--type", "A3", "max-set", "--w", "s1 s2 s3 s2 s1", "--J", "s1,s2"),
+    "max_set.json": (
+        "--type", "A3", "--format", "json", "max-set", "--w", "s1 s2 s3 s2 s1", "--J", "s1,s2"),
+    "rel_max.txt": (
+        "--type", "A4", "rel-max", "--w", "s1 s2 s3 s4 s3 s2", "--x", "s4 s3",
+        "--J", "s1", "--K", "s1,s2"),
+    "fiber.txt": (
+        "--type", "A3", "fiber", "--w", "s1 s2 s3", "--x", "e", "--J", "s1", "--K", "s1,s2"),
+    "fiber.json": (
+        "--type", "A3", "--format", "json", "fiber", "--w", "s1 s2 s3", "--x", "e",
+        "--J", "s1", "--K", "s1,s2"),
+    "bp_yes.txt": ("--type", "A3", "bp", "--w", "s3 s2 s1", "--J", "s1,s2"),
+    "bp.json": ("--type", "A3", "--format", "json", "bp", "--w", "s1 s2 s3 s2 s1", "--J", "s1,s2"),
+    "bp_yes.json": ("--type", "A3", "--format", "json", "bp", "--w", "s3 s2 s1", "--J", "s1,s2"),
+    "poincare_decomp.json": (
+        "--type", "A3", "--format", "json", "poincare-decomp", "--w", "s1 s2 s3", "--J", "s1,s2"),
+    # relative mode with a product P^K_v P^J_u of the relative polynomial
+    "poincare_decomp_K.txt": (
+        "--type", "A3", "poincare-decomp", "--w", "s1 s2 s1 s3", "--J", "s2", "--K", "s2,s3"),
+    "poincare_decomp_K_product.json": (
+        "--type", "A3", "--format", "json", "poincare-decomp", "--w", "s1 s2 s1 s3",
+        "--J", "s2", "--K", "s2,s3"),
+    "bp_scan.txt": ("--type", "A3", "bp-scan", "--w", "s1 s2 s3 s2 s1"),
+    "hasse_plain.dot": ("--type", "A3", "hasse", "--w", "s2 s1 s3"),
+    "hasse.txt": ("--type", "A3", "--format", "text", "hasse", "--w", "s2 s1 s3"),
+    "hasse_J.txt": ("--type", "A3", "--format", "text", "hasse", "--w", "s2 s1 s3", "--J", "s1"),
+    "hasse.json": ("--type", "A3", "--format", "json", "hasse", "--w", "s2 s1 s3"),
+    "hasse_J.json": (
+        "--type", "A3", "--format", "json", "hasse", "--w", "s2 s1 s3", "--J", "s1"),
+    "verify.txt": ("--type", "A3", "verify", "--max-len", "3", "--samples", "10"),
+    "verify.json": (
+        "--type", "A3", "--format", "json", "verify", "--max-len", "3", "--samples", "10"),
 }
 
 
@@ -362,3 +424,45 @@ def test_golden_byte_stable_across_runs(capsys, name):
     code2, out2, _ = run(capsys, *argv)
     assert (code1, code2) == (0, 0)
     assert out1 == out2
+
+
+#: argv -> the exact stderr of a usage error (exit code 2, nothing on stdout).
+#: Element and set flags are read in the order the subcommand declares them,
+#: so with two bad flags the first declared one is reported.
+USAGE_ERRORS = {
+    ("len", "--w", "s9"): "--w: unknown generator 's9'",
+    ("len", "--perm", "4251"): "--perm: [4, 2, 5, 1] is not a permutation of 1..4",
+    ("leq", "--u", "s1 x", "--w", "s1"): "--u: unknown generator 'x'",
+    ("max-coset", "--w", "s1", "--x", "s0", "--J", "s1"): "--x: unknown generator 's0'",
+    ("mj-table", "--w", "s1", "--J", "s1,s7"): "--J: unknown generator 's7'",
+    ("rel-max", "--w", "s1", "--x", "e", "--J", "s1", "--K", "t"): "--K: unknown generator 't'",
+    ("poincare-decomp", "--w", "s1", "--J", "s1", "--K", "s4"): "--K: unknown generator 's4'",
+    ("hasse", "--w", "s1", "--J", "q"): "--J: unknown generator 'q'",
+    # two or three bad flags: the first declared one is reported
+    ("leq", "--u", "s5", "--w", "s6"): "--u: unknown generator 's5'",
+    ("max-coset", "--J", "s7", "--x", "s6", "--w", "s5"): "--w: unknown generator 's5'",
+    ("max-coset", "--w", "s1", "--J", "s7", "--x", "s6"): "--x: unknown generator 's6'",
+    ("rel-max", "--w", "s1", "--x", "e", "--K", "s9", "--J", "s8"): "--J: unknown generator 's8'",
+    ("len", "--w", "s1", "--perm", "4231"): "--perm: give either --w or --perm, not both",
+    ("leq", "--u", "s1", "--w", "s1", "--perm", "4231"):
+        "--perm: give either --w or --perm, not both",
+    ("len",): "--w: a word is required",
+    ("bp", "--J", "s1"): "--w: a word is required",
+    ("verify", "--max-len", "-1"): "--max-len: must be nonnegative, got -1",
+    ("verify", "--samples", "-2", "--max-len", "-1"): "--max-len: must be nonnegative, got -1",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(USAGE_ERRORS), ids=" ".join)
+def test_usage_error_message(capsys, argv):
+    assert run(capsys, "--type", "A3", *argv) == (2, "", f"error: {USAGE_ERRORS[argv]}\n")
+
+
+def test_usage_errors_before_flag_values(capsys):
+    # the system and the output format are checked before any element flag
+    assert run(capsys, "len", "--w", "s9") == (
+        2, "", "error: --type: give exactly one of --type or --matrix\n")
+    assert run(capsys, "--type", "A3", "--format", "dot", "len", "--w", "s9") == (
+        2, "", "error: --format: dot output is only available for the hasse command\n")
+    assert run(capsys, "--type", "B3", "len", "--perm", "321") == (
+        2, "", "error: --perm: permutation of 3 letters needs a type-A system of rank 2\n")
