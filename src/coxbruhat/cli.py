@@ -3,9 +3,14 @@
 This module parses arguments and renders output; the computing is done by
 the library.  Each subcommand is one row of ``_COMMANDS`` (name, handler,
 help text, arguments); :func:`build_parser` builds the parser from that
-table and :func:`main` calls the handler of the parsed row.  A handler
-returns text, or for ``--format json`` a payload dict that :func:`main`
-serialises with the command name added.
+table and :func:`main` calls the handler of the parsed row.
+
+:func:`main` parses the element flags (``--w`` or ``--perm``, ``--u``,
+``--x``) and the generator-set flags (``--J``, ``--K``) in the order the row
+declares them, so of two bad values the first declared is reported.  The
+handler gets the parsed values as keyword arguments and returns text, or
+for ``--format json`` a payload dict of its results; :func:`main` adds the
+command name and echoes the canonical form of each of those flags given.
 
 All set-valued output is ShortLex sorted, so runs are byte-for-byte
 reproducible.  JSON output is serialised with sorted keys and a fixed
@@ -41,22 +46,16 @@ class _Usage(Exception):
     """Bad flag value; reported on stderr with exit code 2."""
 
 
-def _element(system: CoxeterSystem, text: str, flag: str) -> Element:
+def _parsed(parse, text: str, flag: str):
+    """``parse(text)``, with a ValueError reported as a bad value of ``flag``."""
     try:
-        return system.element(text)
-    except ValueError as exc:
-        raise _Usage(f"{flag}: {exc}") from None
-
-
-def _genset(system: CoxeterSystem, text: str, flag: str):
-    try:
-        return system.parse_genset(text)
+        return parse(text)
     except ValueError as exc:
         raise _Usage(f"{flag}: {exc}") from None
 
 
 def _w_arg(system: CoxeterSystem, args) -> Element:
-    if getattr(args, "perm", None) is not None:
+    if args.perm is not None:
         if args.w is not None:
             raise _Usage("--perm: give either --w or --perm, not both")
         text = args.perm.replace(",", " ").strip()
@@ -67,7 +66,32 @@ def _w_arg(system: CoxeterSystem, args) -> Element:
             raise _Usage(f"--perm: {exc}") from None
     if args.w is None:
         raise _Usage("--w: a word is required")
-    return _element(system, args.w, "--w")
+    return _parsed(system.element, args.w, "--w")
+
+
+def _inputs(system, args, flags) -> dict:
+    """The element and generator-set flags among ``flags``, parsed in that order.
+
+    Keys are the flag names without dashes (``w`` for ``--w`` or ``--perm``);
+    ``--J`` and ``--K`` appear only when given.
+    """
+    values = {}
+    for flag in flags:
+        key = flag[2:]
+        if flag == "--w":  # --perm, declared after it, is read by _w_arg too
+            values["w"] = _w_arg(system, args)
+        elif flag in ("--u", "--x"):
+            values[key] = _parsed(system.element, getattr(args, key), flag)
+        elif flag in ("--J", "--K") and getattr(args, key) is not None:
+            values[key] = _parsed(system.parse_genset, getattr(args, key), flag)
+    return values
+
+
+def _show(system, value) -> str:
+    """The canonical text of an element, a generator index or a generator set."""
+    if isinstance(value, Element):
+        return str(value)
+    return system.names[value] if isinstance(value, int) else system.genset_str(value)
 
 
 def _build_system(args) -> CoxeterSystem:
@@ -84,178 +108,131 @@ def _build_system(args) -> CoxeterSystem:
 
 
 # -- command handlers ----------------------------------------------------
+# Each takes (system, args, fmt) and the parsed flags of its row by name.
 
 
-def _cmd_len(system, args, fmt):
-    w = _w_arg(system, args)
-    if fmt == "json":
-        return {"w": str(w), "length": w.length}
-    return str(w.length)
+def _cmd_len(system, args, fmt, w):
+    return {"length": w.length} if fmt == "json" else str(w.length)
 
 
-def _cmd_leq(system, args, fmt):
-    u = _element(system, args.u, "--u")
-    w = _w_arg(system, args)
+def _cmd_leq(system, args, fmt, u, w):
     res = leq(u, w)
     if fmt == "json":
-        return {"u": str(u), "w": str(w), "leq": res}
+        return {"leq": res}
     return "true" if res else "false"
 
 
-def _cmd_interval(system, args, fmt):
-    w = _w_arg(system, args)
+def _cmd_interval(system, args, fmt, w):
     itv = lower_interval(w)
     members = [str(y) for y in itv]
     if fmt == "json":
-        return {"w": str(w), "size": len(itv), "rank_sizes": list(itv.rank_sizes),
-                "members": members}
+        return {"size": len(itv), "rank_sizes": list(itv.rank_sizes), "members": members}
     lines = [f"size: {len(itv)}", "ranks: " + " ".join(str(n) for n in itv.rank_sizes)]
     lines.extend(members)
     return "\n".join(lines)
 
 
-def _cmd_covers(system, args, fmt):
-    w = _w_arg(system, args)
+def _cmd_covers(system, args, fmt, w):
     down = [str(y) for y in sorted(covers(w), key=attrgetter("word"))]  # one length: ShortLex
     if fmt == "json":
-        return {"w": str(w), "covers": down}
+        return {"covers": down}
     return "\n".join(down)
 
 
-def _cmd_poincare(system, args, fmt):
-    w = _w_arg(system, args)
-    poly = poincare(w)
-    if fmt == "json":
-        return {"w": str(w), "coeffs": list(poly.coeffs), "poly": str(poly)}
-    return str(poly)
+def _polynomial(poly, fmt):
+    """A polynomial as text, or for JSON as its coefficients and text."""
+    return {"coeffs": list(poly.coeffs), "poly": str(poly)} if fmt == "json" else str(poly)
 
 
-def _cmd_poincare_rel(system, args, fmt):
-    w = _w_arg(system, args)
-    J = _genset(system, args.J, "--J")
-    poly = relative_poincare(w, J)
-    if fmt == "json":
-        return {"w": str(w), "J": system.genset_str(J),
-                "coeffs": list(poly.coeffs), "poly": str(poly)}
-    return str(poly)
+def _cmd_poincare(system, args, fmt, w):
+    return _polynomial(poincare(w), fmt)
 
 
-def _cmd_decompose(system, args, fmt):
-    w = _w_arg(system, args)
-    J = _genset(system, args.J, "--J")
+def _cmd_poincare_rel(system, args, fmt, w, J):
+    return _polynomial(relative_poincare(w, J), fmt)
+
+
+def _cmd_decompose(system, args, fmt, w, J):
     d = decompose(w, J, args.side)
     if fmt == "json":
-        return {"w": str(w), "J": system.genset_str(J),
-                "side": d.side, "v": str(d.v), "u": str(d.u)}
+        return {"side": d.side, "v": str(d.v), "u": str(d.u)}
     if d.side == "right":
         return f"v: {d.v}\nu: {d.u}"
     return f"u: {d.u}\nv: {d.v}"
 
 
-def _cmd_coset_rep(system, args, fmt):
-    w = _w_arg(system, args)
-    J = _genset(system, args.J, "--J")
-    rep = coset_rep(w, J)
-    if fmt == "json":
-        return {"w": str(w), "J": system.genset_str(J), "rep": str(rep)}
-    return str(rep)
+def _cmd_coset_rep(system, args, fmt, w, J):
+    rep = str(coset_rep(w, J))
+    return {"rep": rep} if fmt == "json" else rep
 
 
-def _trace_json(system, trace):
-    return [
-        {
-            "x": str(step.x),
-            "left_descents": system.genset_str(step.left_descents),
-            "u": str(step.u),
-            "v": str(step.v),
-            "stabilizers": system.genset_str(step.coset_stabilizers),
-            "s": system.names[step.s],
-            "prefix_max": str(step.prefix_max),
-            "suffix_max": str(step.suffix_max),
-            "q": str(step.maximum),
-        }
-        for step in trace
-    ]
+#: The fields of a trace step in text order: JSON key, text label, attribute.
+_TRACE_FIELDS = (
+    ("x", "x", "x"), ("left_descents", "D_L", "left_descents"), ("u", "u", "u"),
+    ("v", "v", "v"), ("stabilizers", "stab", "coset_stabilizers"), ("s", "s", "s"),
+    ("prefix_max", "q'", "prefix_max"), ("suffix_max", "q''", "suffix_max"),
+    ("q", "q", "maximum"),
+)
 
 
-def _trace_text(system, trace):
-    lines = ["trace:"]
-    for step in trace:
-        lines.append(
-            f"  x={step.x}  D_L={system.genset_str(step.left_descents)}"
-            f"  u={step.u}  v={step.v}"
-            f"  stab={system.genset_str(step.coset_stabilizers)}"
-            f"  s={system.names[step.s]}"
-            f"  q'={step.prefix_max}  q''={step.suffix_max}  q={step.maximum}"
-        )
-    return lines
+def _trace_steps(system, trace):
+    """Each step of a trace as (JSON key, text label, text) triples in text order."""
+    return [[(key, label, _show(system, getattr(step, attr))) for key, label, attr in _TRACE_FIELDS]
+            for step in trace]
 
 
-def _cmd_max_coset(system, args, fmt):
-    w = _w_arg(system, args)
-    x = _element(system, args.x, "--x")
-    J = _genset(system, args.J, "--J")
+def _cmd_max_coset(system, args, fmt, w, x, J):
     res = max_in_coset(w, x, J)
+    steps = _trace_steps(system, res.trace) if args.trace else ()
     if fmt == "json":
-        payload = {"w": str(w), "x": str(x), "J": system.genset_str(J),
-                   "q": str(res.maximum), "m": str(res.shift)}
+        payload = {"q": str(res.maximum), "m": str(res.shift)}
         if args.trace:
-            payload["trace"] = _trace_json(system, res.trace)
+            payload["trace"] = [{key: text for key, _, text in step} for step in steps]
         return payload
     lines = [f"q: {res.maximum}", f"m: {res.shift}"]
     if args.trace:
-        lines.extend(_trace_text(system, res.trace))
+        lines.append("trace:")
+        lines.extend("".join(f"  {label}={text}" for _, label, text in step) for step in steps)
     return "\n".join(lines)
 
 
-def _cmd_mj_table(system, args, fmt):
-    w = _w_arg(system, args)
-    J = _genset(system, args.J, "--J")
+def _cmd_mj_table(system, args, fmt, w, J):
     sms = shifted_max_set(w, J)
     if fmt == "json":
-        rows = [{"x": str(x), "m": str(m)} for x, m in sms.pairs.items()]
-        return {"w": str(w), "J": system.genset_str(J), "rows": rows}
+        return {"rows": [{"x": str(x), "m": str(m)} for x, m in sms.pairs.items()]}
     lines = ["x\tm"]
     lines.extend(f"{x}\t{m}" for x, m in sms.pairs.items())
     return "\n".join(lines)
 
 
-def _cmd_max_set(system, args, fmt):
-    w = _w_arg(system, args)
-    J = _genset(system, args.J, "--J")
+def _cmd_max_set(system, args, fmt, w, J):
     sms = shifted_max_set(w, J)
     values = [str(m) for m in sorted(sms.values)]
     if fmt == "json":
         rows = [{"x": str(x), "m": str(m)} for x, m in sms.pairs.items()]
-        return {"w": str(w), "J": system.genset_str(J), "pairs": rows, "values": values}
+        return {"pairs": rows, "values": values}
     lines = [f"{x} -> {m}" for x, m in sms.pairs.items()]
     lines.append("values: " + ", ".join(values))
     return "\n".join(lines)
 
 
-def _cmd_rel_max(system, args, fmt):
-    w = _w_arg(system, args)
-    x = _element(system, args.x, "--x")
-    J = _genset(system, args.J, "--J")
-    K = _genset(system, args.K, "--K")
+def _cmd_rel_max(system, args, fmt, w, x, J, K):
     res = max_in_relative_coset(w, x, J, K)
     if fmt == "json":
-        return {"w": str(w), "x": str(x), "J": system.genset_str(J),
-                "K": system.genset_str(K), "q": str(res.maximum), "m": str(res.shift)}
+        return {"q": str(res.maximum), "m": str(res.shift)}
     return f"q: {res.maximum}\nm: {res.shift}"
 
 
-def _cmd_bp(system, args, fmt):
-    w = _w_arg(system, args)
-    J = _genset(system, args.J, "--J")
+def _pair(factorization):
+    """A factorisation (P^J_v, P_u) as two strings, or None."""
+    return [str(p) for p in factorization] if factorization else None
+
+
+def _cmd_bp(system, args, fmt, w, J):
     rep = bp_report(w, J)
     if fmt == "json":
-        return {"w": str(w), "J": system.genset_str(J),
-                "v": str(rep.v), "u": str(rep.u), "u_max": str(rep.parabolic_max),
-                "is_bp": rep.is_bp,
-                "factorization": (
-                    [str(rep.factorization[0]), str(rep.factorization[1])]
-                    if rep.factorization else None)}
+        return {"v": str(rep.v), "u": str(rep.u), "u_max": str(rep.parabolic_max),
+                "is_bp": rep.is_bp, "factorization": _pair(rep.factorization)}
     lines = [f"w: {w}", f"J: {system.genset_str(J)}", f"v: {rep.v}", f"u: {rep.u}",
              f"u_max: {rep.parabolic_max}"]
     if rep.is_bp:
@@ -269,53 +246,36 @@ def _cmd_bp(system, args, fmt):
     return "\n".join(lines)
 
 
-def _decomp_payload(system, dec):
-    terms = [{"x": str(t.x), "shift": str(t.shift), "m": str(t.shifted_max),
-              "factor": str(t.factor), "factor_coeffs": list(t.factor.coeffs)}
-             for t in dec.terms]
-    payload = {"w": str(dec.w), "J": system.genset_str(dec.J),
-               "terms": terms, "factored": dec.factored_str(),
-               "total": str(dec.total), "total_coeffs": list(dec.total.coeffs)}
-    if dec.K is not None:
-        payload["K"] = system.genset_str(dec.K)
-        payload["factorization"] = (
-            [str(dec.factorization[0]), str(dec.factorization[1])]
-            if dec.factorization else None)
-    return payload
-
-
-def _cmd_poincare_decomp(system, args, fmt):
-    w = _w_arg(system, args)
-    J = _genset(system, args.J, "--J")
-    if args.K is not None:
-        dec = relative_decompose_poincare(w, J, _genset(system, args.K, "--K"))
-    else:
-        dec = decompose_poincare(w, J)
+def _cmd_poincare_decomp(system, args, fmt, w, J, K=None):
+    dec = decompose_poincare(w, J) if K is None else relative_decompose_poincare(w, J, K)
     if fmt == "json":
-        return _decomp_payload(system, dec)
-    lines = [f"w: {w}", f"J: {system.genset_str(dec.J)}"]
-    if dec.K is not None:
-        lines.append(f"K: {system.genset_str(dec.K)}")
+        terms = [{"x": str(t.x), "shift": str(t.shift), "m": str(t.shifted_max),
+                  "factor": str(t.factor), "factor_coeffs": list(t.factor.coeffs)}
+                 for t in dec.terms]
+        payload = {"terms": terms, "factored": dec.factored_str(),
+                   "total": str(dec.total), "total_coeffs": list(dec.total.coeffs)}
+        if K is not None:
+            payload["factorization"] = _pair(dec.factorization)
+        return payload
+    lines = [f"w: {w}", f"J: {system.genset_str(J)}"]
+    if K is not None:
+        lines.append(f"K: {system.genset_str(K)}")
     for t in dec.terms:
         lines.append(f"x={t.x}\tm={t.shifted_max}\t{t.shift} * ({t.factor})")
     lines.append(f"factored: {dec.factored_str()}")
-    if dec.K is not None and dec.factorization is not None:
+    if dec.factorization is not None:  # relative mode only
         pv, pu = dec.factorization
         lines.append(f"product: ({pv})({pu})")
     lines.append(f"total: {dec.total}")
     return "\n".join(lines)
 
 
-def _cmd_bp_scan(system, args, fmt):
-    w = _w_arg(system, args)
-    rows = []
-    gens = range(system.rank)
-    for size in range(system.rank + 1):
-        for J in itertools.combinations(gens, size):
-            rep = bp_report(w, frozenset(J))
-            rows.append((frozenset(J), rep))
+def _cmd_bp_scan(system, args, fmt, w):
+    subsets = [frozenset(J) for size in range(system.rank + 1)
+               for J in itertools.combinations(range(system.rank), size)]
+    rows = [(J, bp_report(w, J)) for J in subsets]
     if fmt == "json":
-        return {"w": str(w), "rows": [
+        return {"rows": [
             {"J": system.genset_str(J), "is_bp": rep.is_bp,
              "u": str(rep.u), "u_max": str(rep.parabolic_max)}
             for J, rep in rows]}
@@ -326,15 +286,13 @@ def _cmd_bp_scan(system, args, fmt):
     return "\n".join(lines)
 
 
-def _cmd_hasse(system, args, fmt):
-    w = _w_arg(system, args)
-    J = _genset(system, args.J, "--J") if args.J is not None else None
+def _cmd_hasse(system, args, fmt, w, J=None):
     if fmt == "dot":
         return hasse_dot(w, J)
     g = hasse_graph(w, J)
     name = {y: str(y) for y in g.interval}  # each name rendered once
     if fmt == "json":
-        return {"w": name[w], "J": system.genset_str(J) if J is not None else None,
+        return {"J": None,  # unless --J was given: main's echo replaces it
                 "nodes": [{"w": n, "color": g.colors.get(y)} for y, n in name.items()],
                 "edges": [[name[c], name[y]] for c, y in g.edges]}
     return "\n".join(f"{name[c]} -- {name[y]}" for c, y in g.edges)
@@ -414,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         for flag, options in arguments:
             p.add_argument(flag, **options)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, flags=tuple(flag for flag, _ in arguments))
     return parser
 
 
@@ -426,10 +384,12 @@ def main(argv=None) -> int:
         fmt = args.format or ("dot" if args.handler is _cmd_hasse else "text")
         if fmt == "dot" and args.handler is not _cmd_hasse:
             raise _Usage("--format: dot output is only available for the hasse command")
-        out = args.handler(system, args, fmt)
+        values = _inputs(system, args, args.flags)
+        out = args.handler(system, args, fmt, **values)
         out, code = out if isinstance(out, tuple) else (out, 0)
         if isinstance(out, dict):
-            out = json.dumps({"command": args.command, **out}, indent=2, sort_keys=True)
+            echo = {key: _show(system, value) for key, value in values.items()}
+            out = json.dumps({"command": args.command, **out, **echo}, indent=2, sort_keys=True)
         if out:
             _sys.stdout.write(out if out.endswith("\n") else out + "\n")
         return code
