@@ -39,6 +39,9 @@ class IntPolynomial:
 
     @staticmethod
     def t_power(k: int) -> "IntPolynomial":
+        """t^k; a negative k raises ValueError."""
+        if k < 0:
+            raise ValueError(f"t_power needs k >= 0, got {k}")
         return IntPolynomial((0,) * k + (1,))
 
     @property
@@ -50,7 +53,9 @@ class IntPolynomial:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def shifted(self, k: int) -> "IntPolynomial":
-        """Multiply by t^k."""
+        """Multiply by t^k; a negative k raises ValueError."""
+        if k < 0:
+            raise ValueError(f"shifted needs k >= 0, got {k}")
         if not self.coeffs:
             return self
         return IntPolynomial((0,) * k + self.coeffs)

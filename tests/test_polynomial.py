@@ -37,6 +37,24 @@ def test_arithmetic():
     assert p.shifted(2).coeffs == (0, 0, 1, 2, 1)
 
 
+def test_zero_shifts_are_the_identity():
+    p = IntPolynomial.from_coeffs([1, 2])
+    assert p.shifted(0) == p
+    assert IntPolynomial.zero().shifted(3) == IntPolynomial.zero()
+    assert IntPolynomial.t_power(0) == IntPolynomial.one()
+
+
+@pytest.mark.parametrize("k", [-1, -3])
+def test_negative_exponents_raise(k):
+    # t^k with k < 0 is no integer polynomial; these once returned 1+2t and 1
+    with pytest.raises(ValueError, match="k >= 0"):
+        IntPolynomial.from_coeffs([1, 2]).shifted(k)
+    with pytest.raises(ValueError, match="k >= 0"):
+        IntPolynomial.zero().shifted(k)
+    with pytest.raises(ValueError, match="k >= 0"):
+        IntPolynomial.t_power(k)
+
+
 def test_bool_and_iter():
     assert not IntPolynomial.zero()
     assert IntPolynomial.one()
