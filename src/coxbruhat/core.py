@@ -294,8 +294,21 @@ class CoxeterSystem:
         return J
 
     def clear_caches(self) -> None:
-        """Drop the leq, interval, shift-table, split and Poincare-term memos;
-        elements stay interned, with their products and root sums."""
+        """Drop the result memos.  Each grows until this call or until the
+        system is freed:
+
+        - ``_leq_cache``: ``(u, w) -> bool`` for each ``leq`` pair past its
+          fast exits.
+        - ``_interval_cache``: ``w -> Interval`` for each ``lower_interval``.
+        - ``_shift_tables``: ``(w, J) -> (maxima, shifts)`` for each coset
+          table and each suffix table built on the way (shifts ``None`` until
+          queried).
+        - ``_split_cache``: ``(w, J, left) -> (v, u)`` for each parabolic split.
+        - ``_term_cache``: ``(x, m) -> Term`` for ``decompose_poincare``.
+
+        Elements stay interned, with their products and root sums.  The
+        oracle's memos, which it keeps on the system, are not cleared; they
+        live until the system is freed."""
         for memo in (self._leq_cache, self._interval_cache,
                      self._shift_tables, self._split_cache, self._term_cache):
             memo.clear()
