@@ -267,7 +267,7 @@ class CoxeterSystem:
         self._elements: dict[Word, Element] = {}
         self._leq_cache: dict[tuple[Element, Element], bool] = {}
         self._interval_cache: dict[Element, object] = {}
-        # (w, J) -> (x -> coset maximum, checked x -> shift or None), coset_max._shift_table
+        # (w, J) -> (x -> coset maximum, checked x -> shift), coset_max._shift_table
         self._shift_tables: dict[tuple[Element, GenSet], tuple] = {}
         # (w, J, left) -> (v, u), parabolic._split
         self._split_cache: dict[tuple[Element, GenSet, bool], tuple[Element, Element]] = {}
@@ -300,9 +300,8 @@ class CoxeterSystem:
         - ``_leq_cache``: ``(u, w) -> bool`` for each ``leq`` pair past its
           fast exits.
         - ``_interval_cache``: ``w -> Interval`` for each ``lower_interval``.
-        - ``_shift_tables``: ``(w, J) -> (maxima, shifts)`` for each coset
-          table and each suffix table built on the way (shifts ``None`` until
-          queried).
+        - ``_shift_tables``: ``(w, J) -> (maxima, checked shifts)`` for each
+          coset table and each suffix table built on the way.
         - ``_split_cache``: ``(w, J, left) -> (v, u)`` for each parabolic split.
         - ``_term_cache``: ``(x, m) -> Term`` for ``decompose_poincare``.
 

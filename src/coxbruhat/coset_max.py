@@ -34,8 +34,8 @@ s q_w(x'), where x' is the minimal representative of s x W_J (x itself when
 s x is not in W^J, s x otherwise, by Deodhar's lemma); the second candidate
 drops out when s is a left descent of q_w(x'), and the theorem says one
 candidate dominates the other.  Starting from {e: e}, the letters of w's
-canonical word are applied from right to left, and the table of every
-suffix is memoised per (w, J).
+canonical word are applied from right to left; every suffix's table is
+memoised per (w, J), each shift x^-1 q checked once, where its entry is made.
 """
 
 from __future__ import annotations
@@ -183,35 +183,36 @@ def coset_shift(w: Element, x: Element, J: Iterable[int]) -> Element:
 
 
 def _shift_table(w: Element, J: GenSet) -> tuple[dict, dict]:
-    """(maxima, shifts) over x in [e, w]^J for a checked J: maxima maps x to the
-    maximum q of [e, w] meet x W_J, and shifts, in ShortLex order of x, maps x
-    to x^-1 q after the checks :func:`max_in_coset` makes.
+    """The memoised (maxima, shifts) of :func:`_maxima` for a checked J: x -> q, the
+    maximum of [e, w] meet x W_J, and x -> x^-1 q in ShortLex order, over [e, w]^J.
 
     Raises IntervalTooLarge when length(w) exceeds the system's interval_cap.
     """
     _check_interval_cap(w)
-    memo = w.system._shift_tables
-    maxima, shifts = memo.get((w, J)) or (_maxima(w, J), None)
-    if shifts is None:
-        shifts = {x: _checked_shift(w, x, maxima[x], J)
-                  for x in sorted(maxima, key=attrgetter("length", "word"))}
-        memo[w, J] = (maxima, shifts)
-    return maxima, shifts
+    return w.system._shift_tables.get((w, J)) or _maxima(w, J)
 
 
-def _maxima(w: Element, J: GenSet) -> dict[Element, Element]:
-    """x -> q_w(x) over [e, w]^J, extended letter by letter from the longest
-    suffix of w's word with a memoised table; each new suffix table is memoised."""
+def _maxima(w: Element, J: GenSet) -> tuple[dict, dict]:
+    """(maxima, shifts) of (w, J), shifts in ShortLex order, extended letter by letter
+    from the longest memoised suffix table of w's word; each new table is memoised.
+    _checked_shift checks each entry in the table y that makes it, as max_in_coset
+    does: q <= y, q lies in x W_J, and q = x shift length-additively, shift in W_J.
+    A longer table carries the entry with that shift.  Each y' = s y on the way adds
+    a left letter s outside D_L(y), so y < y' and q <= y' by transitivity
+    (Björner-Brenti Def. 2.1.1, Thm 2.2.2); the other facts do not depend on y.
+    """
     sys = w.system
     memo = sys._shift_tables
     suffixes = []
     while (entry := memo.get((w, J))) is None and w.length:
         suffixes.append(w)
         w = sys._step(w, w.word[0], True)  # drop the first letter: a factor step
-    table = entry[0] if entry else {w: w}
+    if entry is None:  # w is e, and [e, e] meets only the coset W_J
+        entry = memo[w, J] = ({w: w}, {w: _checked_shift(w, w, w, J)})
+    table, shifts = entry
     for y in reversed(suffixes):
         s = y.word[0]
-        new = dict(table)
+        new, checked = dict(table), dict(shifts)
         for x, m in table.items():
             if s in m.left_descents:
                 continue  # s times [e, w] meet x W_J lies below m <= w: nothing new
@@ -221,12 +222,12 @@ def _maxima(w: Element, J: GenSet) -> dict[Element, Element]:
             sm = sys._step(m, s, True)
             old = new.get(x)
             if old is None or old.length < sm.length:
-                new[x] = sm
+                new[x], checked[x] = sm, _checked_shift(y, x, sm, J)
             elif old.length == sm.length and old is not sm:
                 raise InternalAssertionFailed("two coset maxima candidates of equal length")
-        table = new
-        memo[y, J] = (table, None)
-    return table
+        order = sorted(checked, key=attrgetter("length", "word"))  # old keys come first, in order
+        table, shifts = memo[y, J] = new, {x: checked[x] for x in order}
+    return table, shifts
 
 
 def shifted_max_set(w: Element, J: Iterable[int]) -> ShiftedMaxSet:

@@ -12,10 +12,12 @@ import pytest
 
 from coxbruhat import (
     EmptyIntersection,
+    InternalAssertionFailed,
     NotMinimalRep,
     coset_max_candidates,
     coset_rep,
     coset_shift,
+    coxeter_system,
     decompose,
     is_min_rep,
     leq,
@@ -247,6 +249,30 @@ def test_errors(a3):
         max_in_coset(w, a3.element("s1"), frozenset((0,)))
     with pytest.raises(EmptyIntersection):
         max_in_coset(w, a3.element("s3"), frozenset((0, 1)))
+
+
+@pytest.mark.parametrize("kind, w, x, J, v, match", [
+    ("A2", "s2 s1", "s2 s1", (), "e", "no left descent"),
+    ("A3", "s1 s3", "s3", (0,), "s1 s3", "left the minimal"),  # s = s1 and s1 s3 = s3 s1
+    ("A2", "s2 s1", "s2 s1", (), "s2", "not below"),  # s x = s1 is not below v = s2
+])
+def test_a_corrupted_level_split_fails_its_check(kind, w, x, J, v, match):
+    """The first level's split w = u v, away from D_L(x), planted as (v, e)."""
+    system = coxeter_system(kind)
+    w, x, J = system.element(w), system.element(x), frozenset(J)
+    system._split_cache[w, system._all_gens - x.left_descents, True] = (
+        system.element(v), system.identity)
+    with pytest.raises(InternalAssertionFailed, match=match):
+        max_in_coset(w, x, J)
+
+
+def test_a_shortening_fold_up_step_fails_its_check():
+    """s2 s1 corrupted to e in the left slot of s1: the base maximum of (s2 s1, e,
+    {s1}) is s1, and the fold-up by s = s2 then shortens it."""
+    system = coxeter_system("A2")
+    system.generator(0)._lmul[1] = system.identity
+    with pytest.raises(InternalAssertionFailed, match="shortened"):
+        max_in_coset(system.element("s2 s1"), system.element("s2"), frozenset({0}))
 
 
 def test_dihedral_systems(i25, i2inf):

@@ -19,6 +19,7 @@ from coxbruhat import (
     coxeter_system,
     decompose_poincare,
     is_min_rep,
+    max_in_relative_coset,
     relative_decompose_poincare,
     relative_poincare,
     shifted_max_set,
@@ -129,6 +130,18 @@ def test_a_corrupted_split_fails_the_relative_checks():
     system._split_cache[maxima[x], J, False] = (system.identity, system.identity)
     with pytest.raises(InternalAssertionFailed, match="relative"):
         relative_decompose_poincare(w, J, K)
+
+
+def test_a_corrupted_relative_split_fails_the_length_check():
+    """The K-split of a relative maximum q corrupted to (x, e): it passes the
+    shift checks, since e lies in W^J meet W_K, but q is longer than x."""
+    system = coxeter_system("A3")
+    w, J, K = system.element("s1 s2 s3 s2 s1"), frozenset({1}), frozenset({0, 1})
+    x, q = next((x, q) for x, q_K in _shift_table(w, K)[0].items()
+                if (q := _split(q_K, J)[0]) is not q_K and q is not x)
+    system._split_cache[q, K, False] = (x, system.identity)
+    with pytest.raises(InternalAssertionFailed, match="J-minimal"):
+        max_in_relative_coset(w, x, J, K)
 
 
 def test_relative_terms_never_read_plain_terms(a4):

@@ -2,10 +2,12 @@
 
 ``coset_max._shift_table(w, J)`` extends the table x -> q of the maxima of
 [e, w] meet x W_J one letter of w's canonical word at a time, with no coset
-recursion.  These tests compare it, entry by entry and in order, with the
-recursion ``_max_in_coset`` on whole finite groups and on long affine words,
-with ``oracle.brute_coset_max`` on short affine words, and check that its
-tie check and its per-entry checks fire on a corrupted table.
+recursion, and memoises the table of every suffix it meets.  These tests
+compare every memoised table, entry by entry and in order, with the recursion
+``_max_in_coset`` on whole finite groups and on long affine words, and with
+``oracle.brute_coset_max`` on short affine words.  They check that each entry
+is checked once, in the table that makes it, and that the tie check and the
+entry checks fire on a corrupted suffix table.
 """
 
 from __future__ import annotations
@@ -22,27 +24,33 @@ from coxbruhat import (
     max_in_relative_coset,
     relative_decompose_poincare,
 )
+from coxbruhat import coset_max
 from coxbruhat.coset_max import _max_in_coset, _shift_table
 from coxbruhat.oracle import brute_coset_max, brute_interval
 from coxbruhat.parabolic import min_reps_in_order
 from conftest import all_gensets
 
 
-def _assert_table_is_the_recursion(w, J):
-    maxima, shifts = _shift_table(w, J)
-    assert list(shifts) == min_reps_in_order(w, J), (str(w), sorted(J))
-    assert maxima.keys() == shifts.keys()
-    for x, shift in shifts.items():
-        res = _max_in_coset(w, x, J)
-        assert (maxima[x], shift) == (res.maximum, res.shift), (str(w), str(x), sorted(J))
+def _assert_memo_is_the_recursion(system):
+    """Every memoised table, suffix tables included, is complete: its shifts are
+    in ShortLex order and agree with the recursion entry by entry."""
+    for (w, J), (maxima, shifts) in list(system._shift_tables.items()):
+        assert list(shifts) == min_reps_in_order(w, J), (str(w), sorted(J))
+        assert maxima.keys() == shifts.keys()
+        for x, shift in shifts.items():
+            res = _max_in_coset(w, x, J)
+            assert (maxima[x], shift) == (res.maximum, res.shift), (str(w), str(x), sorted(J))
 
 
 @pytest.mark.parametrize("kind", ["A4", "B3", "H3", "D4", "I2:7"])
 def test_table_is_the_recursion_on_every_triple(kind):
     system = coxeter_system(kind)
-    for w in system.elements():
-        for J in all_gensets(system):
-            _assert_table_is_the_recursion(w, J)
+    elements, gensets = system.elements(), all_gensets(system)
+    for w in elements:
+        for J in gensets:
+            _shift_table(w, J)
+    assert len(system._shift_tables) == len(elements) * len(gensets)
+    _assert_memo_is_the_recursion(system)
 
 
 def test_table_is_the_brute_maximum_on_short_affine_words(aff2):
@@ -67,7 +75,8 @@ def test_table_is_the_recursion_on_long_affine_words(kind, lengths, seed):
             if s not in w.right_descents:
                 w = w * system.generator(s)
         for J in rng.sample(gensets, 4):
-            _assert_table_is_the_recursion(w, J)
+            _shift_table(w, J)
+    _assert_memo_is_the_recursion(system)
 
 
 def test_relative_decomposition_is_the_recursion_on_every_chain(a4):
@@ -95,11 +104,49 @@ def test_equal_length_candidates_that_differ_raise():
 
 
 def test_entries_are_checked_before_they_are_returned():
-    """A table entry outside its coset fails the check that _split(q, J) gives back x."""
+    """The suffix table of s2 s3 s2 s1, corrupted to q(e) = s2 s3: extending by s1
+    makes the longer candidate s1 s2 s3 for the coset W_J, which lies outside it."""
     system = coxeter_system("A3")
     w, J = system.element("s1 s2 s3 s2 s1"), frozenset({0, 1})
-    maxima = dict(_shift_table(w, J)[0])
-    maxima[system.identity] = system.element("s2 s3")  # below w, in the coset of s2 s3
-    system._shift_tables[w, J] = (maxima, None)
+    suffix = system.normalize(w.word[1:])
+    assert str(suffix) == "s2 s3 s2 s1"
+    _shift_table(suffix, J)[0][system.identity] = system.element("s2 s3")
     with pytest.raises(InternalAssertionFailed, match="not in"):
         _shift_table(w, J)
+
+
+def _made(system, w, J):
+    """The (w, x) of the entries the table of w makes: those that differ from
+    the suffix table's, or the identity's entry when w is e."""
+    maxima = system._shift_tables[w, J][0]
+    if not w.length:
+        return {(w, w)}
+    below = system._shift_tables[system.normalize(w.word[1:]), J][0]
+    return {(w, x) for x, q in maxima.items() if below.get(x) is not q}
+
+
+@pytest.mark.parametrize("kind, word, J", [
+    ("H3", "s1 s2 s1 s3 s2 s1 s3 s2 s3", {0}),
+    ("H3", "s1 s2 s1 s3 s2 s1 s3 s2 s3", {1, 2}),
+    ("A~3", "s1 s2 s3 s4 s1 s2 s3 s4 s1 s2 s3", {0, 2}),
+    ("D4", "s1 s2 s3 s4 s2 s1 s2", set()),
+])
+def test_each_entry_is_checked_once_where_it_is_made(monkeypatch, kind, word, J):
+    """_checked_shift runs once for each entry a table makes, and never for an
+    entry a longer table carries or for a memoised table."""
+    system, J = coxeter_system(kind), frozenset(J)
+    checked = coset_max._checked_shift
+    calls = []
+    monkeypatch.setattr(coset_max, "_checked_shift",
+                        lambda w, x, q, J: calls.append((w, x)) or checked(w, x, q, J))
+    w = system.element(word)
+    suffix = system.normalize(w.word[1:])  # w's table extends this one by w.word[0]
+    _shift_table(suffix, J)
+    made = set().union(*(_made(system, y, K) for y, K in system._shift_tables))
+    assert len(calls) == len(made) and set(calls) == made
+    calls.clear()
+    _shift_table(w, J)  # carried entries keep their checked shifts
+    assert len(calls) == len(_made(system, w, J)) and set(calls) == _made(system, w, J)
+    calls.clear()
+    _shift_table(suffix, J), _shift_table(w, J)
+    assert calls == []
