@@ -286,6 +286,7 @@ class CoxeterSystem:
         return self.matrix[i][j]
 
     def generator(self, i: int) -> Element:
+        _check_letters((i,), self.rank)
         return self._gens[i]
 
     def check_genset(self, gens: Iterable[int]) -> GenSet:
@@ -357,8 +358,10 @@ class CoxeterSystem:
 
         ``max_length`` defaults to (and is clamped by) the length cap; for a
         finite group any cap beyond the longest element enumerates the whole
-        group.
+        group.  A negative ``max_length`` raises ValueError.
         """
+        if max_length is not None and max_length < 0:
+            raise ValueError(f"elements needs max_length >= 0, got {max_length}")
         limit = self.length_cap if max_length is None else min(max_length, self.length_cap)
         out = [self.identity]
         level = [self.identity]

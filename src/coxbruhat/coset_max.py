@@ -126,8 +126,10 @@ def max_in_coset(w: Element, x: Element, J: Iterable[int]) -> CosetMaxResult:
 def _max_in_coset(w: Element, x: Element, J: GenSet) -> CosetMaxResult:
     """max_in_coset for a triple the caller has checked: x in W^J, x <= w.
 
-    Walks down the levels (w, x) -> (v, s x) to x = e, then folds the maxima
-    back up from the base; every level's maximum is checked to lie in its coset.
+    Walks down the levels (w, x) -> (v, s x) to x = e, guarding only that s shortens x,
+    then folds the maxima back up from the base; _checked_shift checks each level's q'.
+    The guard ends the loop and keeps s x in W^J, as D_R(s x) lies in D_R(x); q' <= v
+    and q' = (s x) shift length-additively give s x <= v (Björner-Brenti Thm 2.2.2).
     The fold-up pass carries the rows outside J of the matrix of x_i^-1 = (s x_i)^-1 s,
     whose column t is the root x_i^-1(alpha_t): t stabilizes x_i W_J when that root has
     support in J, i.e. is zero in those rows.
@@ -142,10 +144,8 @@ def _max_in_coset(w: Element, x: Element, J: GenSet) -> CosetMaxResult:
             raise InternalAssertionFailed("suffix of the split has no left descent")
         s = min(v.left_descents)
         sx = sys._step(xi, s, True)
-        if sx.right_descents & J:
-            raise InternalAssertionFailed("s*x left the minimal representatives")
-        if not leq(sx, v):
-            raise InternalAssertionFailed("s*x is not below the suffix of the split")
+        if sx.length > xi.length:  # x gets shorter at every level: the loop ends
+            raise InternalAssertionFailed("s is not a left descent of x")
         down.append((wi, xi, dl, u, v, s))
         wi, xi = v, sx
     q = _fold(wi, J)
@@ -255,13 +255,12 @@ def _max_in_relative_coset(
     w: Element, x: Element, q_K: Element, J: GenSet, K: GenSet, levels: tuple = ()
 ) -> CosetMaxResult:
     """The relative maximum from q_K, the maximum of [e, w] meet x W_K, for a
-    checked chain J inside K and x in W^K below w; levels are q_K's."""
+    checked chain J inside K and x in W^K below w; levels are q_K's.  Past
+    _checked_shift(w, x, q, K), it checks only that q and its shift are J-minimal."""
     q = _split(q_K, J)[0]
-    v, shift = _split(q, K)  # q lies in x W_K, so this is x * shift exactly when v is x
-    if v is not x or not (shift.support <= K) or (shift.right_descents & J):
-        raise InternalAssertionFailed("relative shift is not in W^J meet W_K")
-    if q.length != x.length + shift.length or not leq(q, w) or (q.right_descents & J):
-        raise InternalAssertionFailed("relative maximum is not a J-minimal element of [e,w]")
+    shift = _checked_shift(w, x, q, K)
+    if (q.right_descents | shift.right_descents) & J:
+        raise InternalAssertionFailed("relative maximum or its shift is not J-minimal")
     return CosetMaxResult(w=w, x=x, J=J, maximum=q, shift=shift, K=K, _levels=levels)
 
 

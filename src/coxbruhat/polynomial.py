@@ -24,7 +24,13 @@ class IntPolynomial:
 
     @staticmethod
     def from_coeffs(seq: Iterable[int]) -> "IntPolynomial":
-        coeffs = [int(c) for c in seq]
+        """Trim trailing zeros; a coefficient c with int(c) != c raises ValueError."""
+        coeffs = list(seq)
+        if not {*map(type, coeffs)} <= {int}:  # one C-level scan when every c is an int
+            ints = [int(c) for c in coeffs]
+            if ints != coeffs:
+                raise ValueError(f"coefficients must be integers, got {coeffs}")
+            coeffs = ints
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         return IntPolynomial(tuple(coeffs))

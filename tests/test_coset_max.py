@@ -253,11 +253,16 @@ def test_errors(a3):
 
 @pytest.mark.parametrize("kind, w, x, J, v, match", [
     ("A2", "s2 s1", "s2 s1", (), "e", "no left descent"),
-    ("A3", "s1 s3", "s3", (0,), "s1 s3", "left the minimal"),  # s = s1 and s1 s3 = s3 s1
-    ("A2", "s2 s1", "s2 s1", (), "s2", "not below"),  # s x = s1 is not below v = s2
+    ("A3", "s1 s3", "s3", (0,), "s1 s3", "not a left descent"),  # s = s1 lengthens x = s3
+    # s x = s1 is not below v = s2: the next level's split of v leaves no left descent
+    ("A2", "s2 s1", "s2 s1", (), "s2", "no left descent"),
+    # s = s1 lengthens x = s3 to s1 s3, which is in W^J and below v; the next level
+    # (s1 s3, s1 s3) steps back to x = s3, so without the guard the levels repeat forever
+    ("A3", "s1 s3", "s3", (), "s1 s3", "not a left descent"),
 ])
 def test_a_corrupted_level_split_fails_its_check(kind, w, x, J, v, match):
-    """The first level's split w = u v, away from D_L(x), planted as (v, e)."""
+    """The first level's split w = u v, away from D_L(x), planted as (v, e): the
+    down pass raises, or the level below it does."""
     system = coxeter_system(kind)
     w, x, J = system.element(w), system.element(x), frozenset(J)
     system._split_cache[w, system._all_gens - x.left_descents, True] = (

@@ -32,6 +32,21 @@ def test_check_genset_rejects_bools(b3):
         b3.check_genset([True])
 
 
+@pytest.mark.parametrize("i", [-1, 3])
+def test_generator_rejects_indices_out_of_range(b3, i):
+    # generator(-1) once gave s3, and generator(3) raised IndexError
+    with pytest.raises(ValueError, match=MESSAGE):
+        b3.generator(i)
+
+
+@pytest.mark.parametrize("max_length", [-1, -5])
+def test_elements_rejects_a_negative_max_length(b3, max_length):
+    # no element has negative length; these once gave [e]
+    with pytest.raises(ValueError, match="max_length >= 0"):
+        b3.elements(max_length)
+    assert b3.elements(0) == [b3.identity]
+
+
 def test_int_letters_still_accepted(b3):
     assert str(b3.normalize([1, 0])) == "s2 s1"
     assert b3.check_genset([0, 2]) == {0, 2}

@@ -128,18 +128,29 @@ def test_a_corrupted_split_fails_the_relative_checks():
     relative_decompose_poincare(w, J, K)  # memoises _split(q_K, J) for every entry
     x = max(maxima, key=lambda y: y.length)
     system._split_cache[maxima[x], J, False] = (system.identity, system.identity)
-    with pytest.raises(InternalAssertionFailed, match="relative"):
+    with pytest.raises(InternalAssertionFailed, match="not in"):
         relative_decompose_poincare(w, J, K)
 
 
 def test_a_corrupted_relative_split_fails_the_length_check():
-    """The K-split of a relative maximum q corrupted to (x, e): it passes the
-    shift checks, since e lies in W^J meet W_K, but q is longer than x."""
+    """The K-split of a relative maximum q corrupted to (x, e): q is in x W_K and
+    below w, and e lies in W^J meet W_K, but q is longer than x."""
     system = coxeter_system("A3")
     w, J, K = system.element("s1 s2 s3 s2 s1"), frozenset({1}), frozenset({0, 1})
     x, q = next((x, q) for x, q_K in _shift_table(w, K)[0].items()
                 if (q := _split(q_K, J)[0]) is not q_K and q is not x)
     system._split_cache[q, K, False] = (x, system.identity)
+    with pytest.raises(InternalAssertionFailed, match="length-additive"):
+        max_in_relative_coset(w, x, J, K)
+
+
+def test_a_corrupted_relative_j_split_fails_the_j_minimality_check():
+    """The J-split of q_K corrupted to (q_K, e): q = q_K passes every check of the
+    K-coset, since it is the maximum there, but it has a right descent in J."""
+    system = coxeter_system("A3")
+    w, J, K = system.element("s1 s2 s3 s2 s1"), frozenset({1}), frozenset({0, 1})
+    x, q_K = next((x, q_K) for x, q_K in _shift_table(w, K)[0].items() if q_K.right_descents & J)
+    system._split_cache[q_K, J, False] = (q_K, system.identity)
     with pytest.raises(InternalAssertionFailed, match="J-minimal"):
         max_in_relative_coset(w, x, J, K)
 

@@ -16,6 +16,23 @@ def test_construction_trims_zeros():
     assert IntPolynomial.from_coeffs([0, 0]) == IntPolynomial.zero()
 
 
+@pytest.mark.parametrize("coeffs", [[0.5, 1.7], [1, 2.5], [1, 0.25, 0], ["1"]])
+def test_non_integral_coefficients_raise(coeffs):
+    # int() once truncated or parsed these: [0.5, 1.7] gave t
+    with pytest.raises(ValueError, match="must be integers"):
+        IntPolynomial.from_coeffs(coeffs)
+
+
+@pytest.mark.parametrize("coeffs, want", [
+    ([True, 2.0, 0.0], (1, 2)),
+    ((c for c in [1.0, False, True, 0]), (1, 0, 1)),
+])
+def test_bools_and_integral_floats_become_ints(coeffs, want):
+    p = IntPolynomial.from_coeffs(coeffs)
+    assert p.coeffs == want
+    assert all(type(c) is int for c in p.coeffs)
+
+
 def test_degree_and_coefficients():
     p = IntPolynomial.from_coeffs([1, 0, 3])
     assert p.degree == 2
