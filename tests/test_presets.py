@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
@@ -53,6 +54,33 @@ def test_unknown_preset():
     for kind in ("E8", "Z3", "A0", "B1", "D2", ""):
         with pytest.raises(InvalidMatrix):
             coxeter_matrix(kind)
+
+
+#: coxeter_matrix on 131 type strings, accepted and rejected: each maps to
+#: {"matrix": ...} or to {"error": <exception type>, "message": <its text>}.
+PRESETS_GOLDEN = pathlib.Path(__file__).parent / "golden" / "presets.json"
+PRESET_KINDS = (
+    [f"{c}{n}" for c in "ABCDEabcde" for n in range(9)]
+    + ["F4", "f4", "F5", "H2", "H3", "H4", "H5", "h3", "h4", "H3\n", "F4\n"]
+    + ["I2:0", "I2:1", "I2:2", "I2:5", "I2:inf", "I2:oo", "I2:x", "I2:-1", "i2:7",
+       "I2:05", "I2:", "I3:5", "I2:inf\n"]
+    + [f"A~{n}" for n in range(6)]
+    + ["a~2", "A~", "A~01", "A~-1", "B~3", "", " A3", "A3 ", "A3\n", "A\u0663", "A1.0"]
+)
+
+
+def _matrix_or_error(kind):
+    try:
+        return {"matrix": coxeter_matrix(kind)}
+    except Exception as exc:  # the golden file pins the type and the message
+        return {"error": type(exc).__name__, "message": str(exc)}
+
+
+def test_presets_match_golden():
+    golden = json.loads(PRESETS_GOLDEN.read_text(encoding="utf-8"))
+    assert list(golden) == PRESET_KINDS
+    for kind, want in golden.items():
+        assert _matrix_or_error(kind) == want, kind
 
 
 def test_group_orders():
