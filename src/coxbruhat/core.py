@@ -658,14 +658,11 @@ def element_from_permutation(system: CoxeterSystem, oneline: Sequence[int]) -> E
     p = list(oneline)
     if sorted(p) != list(range(1, n + 1)):
         raise ValueError(f"{list(oneline)!r} is not a permutation of 1..{n}")
-    letters: list[int] = []
-    done = False
-    while not done:
-        done = True
-        for i in range(n - 1):
-            if p[i] > p[i + 1]:
-                p[i], p[i + 1] = p[i + 1], p[i]
-                letters.append(i)
-                done = False
-                break
+    letters: list[int] = []  # insertion sort: each adjacent swap removes one inversion
+    for i in range(1, n):
+        j = i
+        while j and p[j - 1] > p[j]:
+            p[j - 1], p[j] = p[j], p[j - 1]
+            j -= 1
+            letters.append(j)
     return system.normalize(tuple(reversed(letters)))

@@ -22,7 +22,7 @@ from .bruhat import poincare
 from .core import Element, GenSet
 from .errors import InternalAssertionFailed
 from .coset_max import _fold, _max_in_relative_coset, _shift_table
-from .parabolic import _require_min_rep, _split, check_chain, check_min_rep, min_reps_in_order
+from .parabolic import _relative_rep, _split, check_chain, check_min_rep, min_reps_in_order
 from .polynomial import IntPolynomial
 
 
@@ -49,17 +49,11 @@ class PoincareDecomposition:
 
     def grouped(self) -> tuple[tuple[IntPolynomial, Element, IntPolynomial], ...]:
         """Terms merged by equal shifted maximum: (shift sum, element, factor)."""
-        order: list[Element] = []
-        shifts: dict[Element, IntPolynomial] = {}
-        factors: dict[Element, IntPolynomial] = {}
-        for term in self.terms:
-            if term.shifted_max not in shifts:
-                order.append(term.shifted_max)
-                shifts[term.shifted_max] = term.shift
-                factors[term.shifted_max] = term.factor
-            else:
-                shifts[term.shifted_max] = shifts[term.shifted_max] + term.shift
-        return tuple((shifts[m], m, factors[m]) for m in order)
+        groups: dict[Element, tuple[IntPolynomial, IntPolynomial]] = {}  # -> (shift sum, factor)
+        for t in self.terms:
+            g = groups.get(t.shifted_max)
+            groups[t.shifted_max] = (t.shift, t.factor) if g is None else (g[0] + t.shift, g[1])
+        return tuple((shift, m, factor) for m, (shift, factor) in groups.items())
 
     def factored_str(self) -> str:
         return " + ".join(f"({shift})({factor})" for shift, _, factor in self.grouped())
@@ -153,11 +147,11 @@ def relative_decompose_poincare(
         factor = _relative_poincare(m, J)
         terms.append(Term(x=x, shift=IntPolynomial.t_power(x.length), shifted_max=m, factor=factor))
     total = _total(w, terms)
-    v, u = _split(w, K)
+    v, u = _relative_rep(w, J, K)
     factorization = None
     if shifts[v] == shifts[w.system.identity]:
         pv = _relative_poincare(v, K)
-        pu = _relative_poincare(u, _require_min_rep(u, J))
+        pu = _relative_poincare(u, J)
         if pv * pu != total:
             raise InternalAssertionFailed("relative BP product does not match P^J_w")
         factorization = (pv, pu)

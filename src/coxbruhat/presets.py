@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import re
+from typing import Iterable
 
 from .core import CoxeterSystem
 from .errors import InvalidMatrix
@@ -22,73 +23,47 @@ _CHAIN_RE = re.compile(r"^([ABDabd])(\d+)$")
 _I2_RE = re.compile(r"^[Ii]2:(\d+|inf|oo)$")
 _AFFINE_A_RE = re.compile(r"^[Aa]~(\d+)$")
 
-
-def _blank(n: int) -> list[list[int]]:
-    return [[1 if i == j else 2 for j in range(n)] for i in range(n)]
-
-
-def _bond(m: list[list[int]], i: int, j: int, order: int) -> None:
-    m[i][j] = m[j][i] = order
+_EXCEPTIONAL = {  # type -> (rank, bonds)
+    "F4": (4, ((0, 1, 3), (1, 2, 4), (2, 3, 3))),
+    "H3": (3, ((0, 1, 5), (1, 2, 3))),
+    "H4": (4, ((0, 1, 5), (1, 2, 3), (2, 3, 3))),
+}
 
 
-def coxeter_matrix(kind: str) -> list[list[int]]:
-    """The Coxeter matrix of a preset type string."""
+def _diagram(kind: str) -> tuple[int, Iterable[tuple[int, int, int]]]:
+    """(rank, bonds) of a preset type string; a bond (i, j, m) sets m(i, j) = m(j, i) = m."""
     chain = _CHAIN_RE.match(kind)
     if chain:
         letter, n = chain.group(1).upper(), int(chain.group(2))
-        if letter == "A" and n >= 1:
-            m = _blank(n)
-            for i in range(n - 1):
-                _bond(m, i, i + 1, 3)
-            return m
-        if letter == "B" and n >= 2:
-            m = _blank(n)
-            for i in range(n - 1):
-                _bond(m, i, i + 1, 3)
-            _bond(m, n - 2, n - 1, 4)
-            return m
-        if letter == "D" and n >= 3:
-            m = _blank(n)
-            for i in range(n - 2):
-                _bond(m, i, i + 1, 3)
-            _bond(m, n - 3, n - 1, 3)
-            return m
-        raise InvalidMatrix(f"unsupported preset {kind!r}")
-    if kind.upper() == "F4":
-        m = _blank(4)
-        _bond(m, 0, 1, 3)
-        _bond(m, 1, 2, 4)
-        _bond(m, 2, 3, 3)
-        return m
-    if kind.upper() in ("H3", "H4"):
-        n = int(kind[1])
-        m = _blank(n)
-        _bond(m, 0, 1, 5)
-        for i in range(1, n - 1):
-            _bond(m, i, i + 1, 3)
-        return m
+        if n < {"A": 1, "B": 2, "D": 3}[letter]:
+            raise InvalidMatrix(f"unsupported preset {kind!r}")
+        bonds = [(i, i + 1, 3) for i in range(n - 1)]
+        if letter != "A":  # B ends in an order-4 bond, D in a fork at s_{n-2}
+            bonds[-1] = (n - 2, n - 1, 4) if letter == "B" else (n - 3, n - 1, 3)
+        return n, bonds
+    if kind.upper() in _EXCEPTIONAL:
+        return _EXCEPTIONAL[kind.upper()]
     i2 = _I2_RE.match(kind)
     if i2:
         token = i2.group(1)
         order = 0 if token in ("inf", "oo") else int(token)
-        if order == 1 or order < 0:
+        if order == 1:
             raise InvalidMatrix(f"I2 bond order must be 0 (infinite) or >= 2, got {token}")
-        m = _blank(2)
-        _bond(m, 0, 1, order)
-        return m
+        return 2, ((0, 1, order),)
     aff = _AFFINE_A_RE.match(kind)
-    if aff:
-        n = int(aff.group(1))
-        if n == 1:
-            m = _blank(2)
-            _bond(m, 0, 1, 0)
-            return m
-        if n >= 2:
-            m = _blank(n + 1)
-            for i in range(n + 1):
-                _bond(m, i, (i + 1) % (n + 1), 3)
-            return m
+    if aff and int(aff.group(1)) >= 1:  # A~1: a two-cycle of one infinite bond
+        n = int(aff.group(1)) + 1
+        return n, [(i, (i + 1) % n, 3 if n > 2 else 0) for i in range(n)]
     raise InvalidMatrix(f"unknown Coxeter type {kind!r}")
+
+
+def coxeter_matrix(kind: str) -> list[list[int]]:
+    """The Coxeter matrix of a preset type string."""
+    n, bonds = _diagram(kind)
+    m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i, j, order in bonds:
+        m[i][j] = m[j][i] = order
+    return m
 
 
 def coxeter_system(kind: str, **kwargs) -> CoxeterSystem:

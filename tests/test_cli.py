@@ -225,6 +225,8 @@ def test_domain_error_exit_1(capsys):
     code, _, err = run(capsys, "--matrix", "/nonexistent/m.json", "len", "--w", "e")
     assert code == 1
     assert err.startswith("InvalidMatrix: ")
+    assert run(capsys, "--type", "A3", "--interval-cap", "-1", "len", "--w", "s1") == (
+        1, "", "InvalidMatrix: interval_cap must be nonnegative\n")
 
 
 def test_usage_error_exit_2(capsys):
@@ -347,6 +349,11 @@ GOLDEN_CASES = {
         " s1 s2 s1 s3 s1 s2 s1 s3 s1 s2 s1 s3 s1 s2 s1 s3 s2 s1 s3 s2",
         "--x", "s1 s2 s1 s3 s1 s2 s1 s3 s1 s2 s1 s3 s1 s2 s1 s3 s1 s2 s1 s3"
         " s1 s2 s1 s3 s1 s2 s1 s3 s1 s2 s1 s3 s2 s1"),
+    # (s1 s2)^15, answered past the default interval cap of 24
+    "poincare_interval_cap.txt": (
+        "--type", "I2:inf", "--interval-cap", "30", "poincare",
+        "--w", "s1 s2 s1 s2 s1 s2 s1 s2 s1 s2 s1 s2 s1 s2 s1 s2 s1 s2 s1 s2"
+        " s1 s2 s1 s2 s1 s2 s1 s2 s1 s2"),
     # one case for every subcommand and format pair, so the JSON echo of the
     # parsed flags and every text layout are locked in
     "len.txt": ("--type", "A3", "len", "--w", "s2 s1 s2 s3"),

@@ -9,6 +9,7 @@ import pytest
 from coxbruhat import (
     EmptyIntersection,
     NotMinimalRep,
+    NotUnique,
     SearchBudgetExceeded,
     coxeter_system,
     demazure,
@@ -58,6 +59,23 @@ def test_brute_coset_max_errors(a3):
         brute_coset_max(a3.element("s1 s2"), a3.element("s1"), frozenset((0,)))
     with pytest.raises(EmptyIntersection):
         brute_coset_max(a3.element("s1"), a3.element("s2"), frozenset((0,)))
+
+
+@pytest.mark.parametrize("below, match", [
+    # s2 s1 <= s1 s2 s1 forgotten: s2 s1 is maximal too
+    ("s2 s1", "2 maximal elements"),
+    # s1 <= s1 s2 s1 forgotten, s1 <= s1 s2 <= s1 s2 s1 kept: the one maximal
+    # element does not dominate s1
+    ("s1", "does not dominate"),
+])
+def test_a_corrupted_leq_memo_fails_the_uniqueness_checks(below, match):
+    """[e, s1 s2 s1] is the one coset W_J of J = {s1, s2}; one memoised leq pair
+    below its maximum is corrupted to False."""
+    system = coxeter_system("A3")
+    w = system.element("s1 s2 s1")
+    system._leq_cache[system.element(below), w] = False
+    with pytest.raises(NotUnique, match=match):
+        brute_coset_max(w, system.identity, frozenset({0, 1}))
 
 
 def test_braid_equal_examples(a3):

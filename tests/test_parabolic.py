@@ -6,8 +6,10 @@ import pytest
 
 from coxbruhat import (
     BadSubsetChain,
+    InternalAssertionFailed,
     NotMinimalRep,
     coset_rep,
+    coxeter_system,
     decompose,
     is_min_rep,
     leq,
@@ -134,6 +136,16 @@ def test_relative_rep_errors(a3):
         relative_rep(a3.element("s3"), frozenset((0,)), frozenset((1, 2)))
     with pytest.raises(NotMinimalRep):
         relative_rep(a3.element("s1"), frozenset((0,)), frozenset((0, 1)))
+
+
+def test_a_corrupted_split_fails_the_relative_rep_check():
+    """The K-split of s1 s2 s1 s3 (= s2 s1 * s2 s3) planted as (s2 s1, s3 s2), whose
+    factor ends in s2, a letter of J."""
+    system = coxeter_system("A3")
+    w, J, K = system.element("s1 s2 s1 s3"), frozenset({1}), frozenset({1, 2})
+    system._split_cache[w, K, False] = (system.element("s2 s1"), system.element("s3 s2"))
+    with pytest.raises(InternalAssertionFailed, match="relative factor left the J-minimal"):
+        relative_rep(w, J, K)
 
 
 def test_decompose_rejects_bad_side(a3):

@@ -8,6 +8,7 @@ import pytest
 
 from coxbruhat import (
     IntPolynomial,
+    InternalAssertionFailed,
     IntervalTooLarge,
     NotMinimalRep,
     bp_report,
@@ -132,6 +133,43 @@ def test_bp_implies_constant_shifts(a3):
             if rep.is_bp:
                 for x in min_reps_leq(w, J):
                     assert coset_shift(w, x, J) is rep.u
+
+
+def test_a_corrupted_split_fails_the_bp_product_check():
+    """The split of s3 s2 s1 for J = {s1, s2} planted as (e, s2 s1): u is still the
+    parabolic maximum, so the test says BP, but P^J_e P_u misses P_w."""
+    system = coxeter_system("A3")
+    w, J = system.element("s3 s2 s1"), frozenset({0, 1})
+    system._split_cache[w, J, False] = (system.identity, system.element("s2 s1"))
+    with pytest.raises(InternalAssertionFailed, match="BP product does not match the Poincare"):
+        bp_report(w, J)
+
+
+def _planted_relative_table():
+    """A3, w = s1 s2 s1 s3 = v u with v = s2 s1 in W^K and u = s2 s3, J = {s2} inside
+    K = {s2, s3}.  The K-shift table of w is planted as the cosets of e and v only,
+    each with its representative as maximum.  So both shifts are e, the factorisation
+    branch runs, P^J_w reads 1 + t^2, and no relative step reads the K-split of w."""
+    system = coxeter_system("A3")
+    w, J, K = system.element("s1 s2 s1 s3"), frozenset({1}), frozenset({1, 2})
+    e, v = system.identity, system.element("s2 s1")
+    system._shift_tables[w, K] = ({e: e, v: v}, {e: e, v: e})
+    return system, w, J, K, v
+
+
+def test_a_corrupted_shift_table_fails_the_relative_product_check():
+    system, w, J, K, _ = _planted_relative_table()
+    with pytest.raises(InternalAssertionFailed, match="relative BP product does not match"):
+        relative_decompose_poincare(w, J, K)
+
+
+def test_a_corrupted_relative_split_fails_as_an_internal_error():
+    """The K-split of w planted as (v, s3 s2): the factor u ends in s2, a letter of J.
+    That breaks a theorem, not the caller's input, so it is no NotMinimalRep."""
+    system, w, J, K, v = _planted_relative_table()
+    system._split_cache[w, K, False] = (v, system.element("s3 s2"))
+    with pytest.raises(InternalAssertionFailed, match="relative factor left the J-minimal"):
+        relative_decompose_poincare(w, J, K)
 
 
 def test_relative_decompose_derived_example(a3):

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from types import SimpleNamespace
 
 import pytest
 
-from coxbruhat import coxeter_system, oracle
+from coxbruhat import CoxeterSystem, coxeter_system, oracle
 from coxbruhat.cli import main
 
 FLAGS = ("--type", "A3", "verify", "--max-len", "3", "--samples", "10")
@@ -30,6 +31,17 @@ def test_verify_at_a_length_cap_below_the_interval_cap(capsys):
     assert code == 0
     assert [line.split(" (")[0] for line in lines] == [
         "words: ok", "intervals: ok", "coset-maxima: ok", "interval-product: ok"]
+
+
+def test_long_words_are_sampled(capsys):
+    """I2:inf has 2^0 + ... + 2^14 = 32,767 words of length <= 14, more than the
+    20,000 checked exhaustively, so the words check draws --samples of them."""
+    assert main(["--type", "I2:inf", "verify", "--max-len", "14", "--samples", "10"]) == 0
+    assert capsys.readouterr().out == (
+        "words: ok (10 words, 10 pairs)\n"
+        "intervals: ok (29 elements)\n"
+        "coset-maxima: ok (900 triples)\n"
+        "interval-product: ok (9 pairs)\n")
 
 
 def test_sampled_subsets_follow_the_seed():
@@ -75,3 +87,47 @@ def test_failure_is_reported_in_json(capsys, interval_missing_identity):
     assert code == 1
     assert doc["ok"] is False
     assert doc["report"][1] == "intervals: FAIL (1 mismatches; 15 elements)"
+
+
+@pytest.fixture
+def three_letter_words_lose_their_last_letter(monkeypatch):
+    """Make normalize drop the last letter of every three-letter word."""
+    real = CoxeterSystem.normalize
+
+    def broken(self, letters):
+        letters = tuple(letters)
+        return real(self, letters[:2] if len(letters) == 3 else letters)
+
+    monkeypatch.setattr(CoxeterSystem, "normalize", broken)
+
+
+def test_word_mismatches_are_counted(capsys, three_letter_words_lose_their_last_letter):
+    """All 27 three-letter words disagree with braid rewriting, and 2 of the 10
+    sampled pairs are equal under one test but not under the other."""
+    assert main(list(FLAGS)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "words: FAIL (29 mismatches; 40 words, 10 pairs)"
+    assert all(": ok (" in line for line in lines[1:])
+
+
+@pytest.fixture
+def coset_maximum_of_identity(monkeypatch):
+    """Make max_in_coset answer e, not s1 s2 s1, for [e, s1 s2 s1] meet W_{s1,s2}."""
+    real = oracle.max_in_coset
+
+    def broken(w, x, J):
+        res = real(w, x, J)
+        if w.word == (0, 1, 0) and J == {0, 1}:
+            return dataclasses.replace(res, maximum=w.system.identity)
+        return res
+
+    monkeypatch.setattr(oracle, "max_in_coset", broken)
+
+
+def test_coset_maximum_mismatches_are_counted(capsys, coset_maximum_of_identity):
+    """The one corrupted triple disagrees with the brute maximum and with the
+    candidate set: 2 mismatches."""
+    assert main(list(FLAGS)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == "coset-maxima: FAIL (2 mismatches; 328 triples)"
+    assert all(": ok (" in line for line in lines[:2] + lines[3:])
