@@ -51,11 +51,11 @@ Systems intern their elements: per system each group element exists as one
 immutable Element object, built only by ``CoxeterSystem._intern``.  Equality
 and hashing are therefore plain object identity, and the memo tables are
 keyed by the elements themselves.  Each element stores its products with every
-generator on either side in neighbour slots (``_rmul[s]`` for w*s,
-``_lmul[s]`` for s*w), filled on first use by ``CoxeterSystem._step``, the one
-generator step for both sides; computing w*s also fills the slot of w*s that
-leads back to w.  All caches are pure, so concurrent use can at worst
-duplicate work, never corrupt it.
+generator on either side in one list of neighbour slots, ``_mul[s]`` for w*s and
+``_mul[rank + s]`` for s*w, filled on first use by ``CoxeterSystem._step``, the
+one generator step for both sides; computing a product also fills the product's
+slot of the same index, which leads back to w.  All caches are pure, so
+concurrent use can at worst duplicate work, never corrupt it.
 """
 
 from __future__ import annotations
@@ -106,10 +106,7 @@ class Element:
     is not Bruhat order, for which see :func:`coxbruhat.bruhat.leq`.
     """
 
-    __slots__ = (
-        "system", "word", "length", "_lsum", "_rsum", "_left", "_right", "_support",
-        "_rmul", "_lmul",
-    )
+    __slots__ = ("system", "word", "length", "_lsum", "_rsum", "_left", "_right", "_mul")
 
     def __init__(self, system: "CoxeterSystem", word: Word, lsum, rsum):
         self.system = system
@@ -119,9 +116,9 @@ class Element:
         # matrices of w^-1 and of w, neither of which is built; a walk result's
         # rsum is None until CoxeterSystem._right_sums reads it along the word
         self._lsum, self._rsum = lsum, rsum
-        self._left = self._right = self._support = None  # GenSets, interned on first read
-        self._rmul: list[Element | None] = [None] * system.rank  # _rmul[s] = self * s
-        self._lmul: list[Element | None] = [None] * system.rank  # _lmul[s] = s * self
+        self._left = self._right = None  # descent sets, interned on first read
+        # neighbour slots: _mul[s] = self * s and _mul[rank + s] = s * self
+        self._mul: list[Element | None] = [None] * (2 * system.rank)
 
     @property
     def is_identity(self) -> bool:
@@ -130,10 +127,7 @@ class Element:
     @property
     def support(self) -> GenSet:
         """The set of generator indices occurring in any reduced word."""
-        if self._support is None:
-            d = frozenset(self.word)
-            self._support = self.system._gensets.setdefault(d, d)
-        return self._support
+        return frozenset(self.word)
 
     @property
     def right_descents(self) -> GenSet:
@@ -263,7 +257,7 @@ class CoxeterSystem:
             nbrs.append(tuple(row))
         self._nbrs = tuple(nbrs)
 
-        # Generator products live on the elements (Element._rmul, _lmul).
+        # Generator products live on the elements (Element._mul).
         self._elements: dict[Word, Element] = {}
         self._leq_cache: dict[tuple[Element, Element], bool] = {}
         self._interval_cache: dict[Element, object] = {}
@@ -274,7 +268,7 @@ class CoxeterSystem:
         # (x, shifted maximum) -> Term, poincare.decompose_poincare
         self._term_cache: dict[tuple[Element, Element], object] = {}
         self._all_gens: GenSet = frozenset(range(n))
-        self._gensets: dict[GenSet, GenSet] = {}  # one object per descent set or support
+        self._gensets: dict[GenSet, GenSet] = {}  # one object per descent set
 
         self.identity = self._intern((), (1.0,) * n, (1.0,) * n)
         self._gens = tuple(self._step(self.identity, i) for i in range(n))
@@ -451,7 +445,8 @@ class CoxeterSystem:
         return el
 
     def _step(self, w: Element, s: int, left: bool = False) -> Element:
-        """w * s, or s * w when left, for a single generator s.
+        """w * s, or s * w when left, for a single generator s, memoised in w's neighbour
+        slot ``_mul[i]``, i = s (rank + s when left); the product's slot i gets w back.
 
         The two sides are mirror images.  The sums on the step's own side move as one
         row of the matrix they sum: rsum(w s) = rsum(w).S_s and lsum(s w) = lsum(w).S_s.
@@ -468,8 +463,8 @@ class CoxeterSystem:
         other product, left products and right products with y unknown alike, peels its
         whole word off its new left sums (``_canonical``).
         """
-        slots = w._lmul if left else w._rmul
-        out = slots[s]
+        i = self.rank + s if left else s
+        out = w._mul[i]
         if out is not None:
             return out
         word, lsum = w.word, None
@@ -483,7 +478,7 @@ class CoxeterSystem:
             y = None
             if not left:
                 tail = word and self._elements.get(word[1:])
-                y = tail._rmul[s] if tail else None
+                y = tail._mul[s] if tail else None
                 if (y is None and tail and newlen < w.length
                         and (tail._rsum or self._right_sums(tail))[s] >= SIGN_TOL):
                     y = w  # exchange condition: w*s drops w's first letter, so tail(w)*s = w
@@ -513,8 +508,7 @@ class CoxeterSystem:
                 lsum = lsum or self._reflect(w._lsum, self._root(s, reversed(w.word)))
                 rsum = tuple(self._apply_right(s, list(rsum)))
             out = self._intern(word, lsum, rsum)
-        slots[s] = out
-        (out._lmul if left else out._rmul)[s] = w
+        w._mul[i], out._mul[i] = out, w
         return out
 
     def _neighbour_word(self, w: Element, lsum, y: Element) -> Word:
@@ -538,7 +532,7 @@ class CoxeterSystem:
         return word[1:] if t > word[0] else (t,) + y.word
 
     def _walk(self, w: Element, letters: Word) -> Element:
-        """w times checked letters: filled ``_rmul`` slots up to the last known element p.
+        """w times checked letters: filled right slots ``_mul[s]`` up to the last known element p.
         From the first empty slot, one backward pass moves the left root sums from all ones
         along p.word + rest, that letter included, and counts the length: a letter s
         shortens the suffix product g exactly when lsum(g)[s] is negative.  The result
@@ -547,7 +541,7 @@ class CoxeterSystem:
         p's right sums first follow the rest (descents, length and cap per letter) and the
         result keeps them.  A miss at the last letter is a ``_step``, which fills that slot."""
         for i, s in enumerate(letters):
-            hit = w._rmul[s]
+            hit = w._mul[s]
             if hit is None:
                 break
             w = hit

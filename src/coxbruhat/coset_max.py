@@ -155,7 +155,7 @@ def _max_in_coset(w: Element, x: Element, J: GenSet) -> CosetMaxResult:
     for wi, xi, dl, u, v, s in reversed(down):
         for r in off:
             sys._apply_right(s, r)
-        stab = (J | xi.support).difference(
+        stab = J.union(xi.word).difference(
             [t for r in off for t, c in enumerate(r) if not abs(c) < SIGN_TOL])
         prefix_max = _fold(u, stab)
         sq = sys._step(q, s, True)
@@ -172,7 +172,7 @@ def _checked_shift(w: Element, x: Element, q: Element, J: GenSet) -> Element:
     v, shift = _split(q, J)  # q = x * shift exactly when q lies in x W_J
     if not leq(q, w) or v is not x:
         raise InternalAssertionFailed("computed maximum is not in [e,w] meet xW_J")
-    if not (shift.support <= J) or q.length != x.length + shift.length:
+    if not J.issuperset(shift.word) or q.length != x.length + shift.length:
         raise InternalAssertionFailed("shift is not a length-additive W_J factor")
     return shift
 

@@ -35,7 +35,7 @@ def hasse_graph(w: Element, J: Iterable[int] | None = None) -> HasseGraph:
             rsum = y._rsum or sys._right_sums(y)
             for t in Js:
                 if rsum[t] < SIGN_TOL:
-                    rep[y] = rep[y._rmul[t] or sys._step(y, t)]
+                    rep[y] = rep[y._mul[t] or sys._step(y, t)]
                     break
             else:
                 rep[y] = y
@@ -45,7 +45,7 @@ def hasse_graph(w: Element, J: Iterable[int] | None = None) -> HasseGraph:
     down: dict[Element, list[Element]] = {sys.identity: []}
     for y in list(itv)[1:]:  # by rank, so y's prefix y*s is placed before y
         s = y.word[-1]
-        down[y] = _lift_covers(y, s, down[y._rmul[s] or sys._step(y, s)])
+        down[y] = _lift_covers(y, s, down[y._mul[s] or sys._step(y, s)])
     # Covers of y share one length, so sorting by word is ShortLex.
     word = attrgetter("word")
     edges = tuple([(c, y) for y, cs in down.items() for c in sorted(cs, key=word)])

@@ -107,11 +107,7 @@ def relative_rep(w: Element, J: Iterable[int], K: Iterable[int]) -> tuple[Elemen
     Requires J contained in K and w a minimal representative for J.  The
     factorisation is length additive and unique.
     """
-    return _relative_rep(w, *check_chain(w, J, K))
-
-
-def _relative_rep(w: Element, J: GenSet, K: GenSet) -> tuple[Element, Element]:
-    """relative_rep for a checked chain: J inside K and w in W^J."""
+    J, K = check_chain(w, J, K)
     v, u = _split(w, K)
     if u.right_descents & J:
         raise InternalAssertionFailed("relative factor left the J-minimal representatives")

@@ -22,7 +22,7 @@ from .bruhat import poincare
 from .core import Element, GenSet
 from .errors import InternalAssertionFailed
 from .coset_max import _fold, _max_in_relative_coset, _shift_table
-from .parabolic import _relative_rep, _split, check_chain, check_min_rep, min_reps_in_order
+from .parabolic import _split, check_chain, check_min_rep, min_reps_in_order
 from .polynomial import IntPolynomial
 
 
@@ -147,9 +147,10 @@ def relative_decompose_poincare(
         factor = _relative_poincare(m, J)
         terms.append(Term(x=x, shift=IntPolynomial.t_power(x.length), shifted_max=m, factor=factor))
     total = _total(w, terms)
-    v, u = _relative_rep(w, J, K)
+    v = _split(w, K)[0]
+    u = shifts[v]  # w's K-factor, checked J-minimal by the relative step for x = v
     factorization = None
-    if shifts[v] == shifts[w.system.identity]:
+    if u == shifts[w.system.identity]:
         pv = _relative_poincare(v, K)
         pu = _relative_poincare(u, J)
         if pv * pu != total:

@@ -19,9 +19,10 @@ from typing import Iterable
 from .core import CoxeterSystem
 from .errors import InvalidMatrix
 
-_CHAIN_RE = re.compile(r"^([ABDabd])(\d+)$")
-_I2_RE = re.compile(r"^[Ii]2:(\d+|inf|oo)$")
-_AFFINE_A_RE = re.compile(r"^[Aa]~(\d+)$")
+# Matched against the whole string (fullmatch), over ASCII digits only.
+_CHAIN_RE = re.compile(r"([ABDabd])([0-9]+)")
+_I2_RE = re.compile(r"[Ii]2:([0-9]+|inf|oo)")
+_AFFINE_A_RE = re.compile(r"[Aa]~([0-9]+)")
 
 _EXCEPTIONAL = {  # type -> (rank, bonds)
     "F4": (4, ((0, 1, 3), (1, 2, 4), (2, 3, 3))),
@@ -32,7 +33,7 @@ _EXCEPTIONAL = {  # type -> (rank, bonds)
 
 def _diagram(kind: str) -> tuple[int, Iterable[tuple[int, int, int]]]:
     """(rank, bonds) of a preset type string; a bond (i, j, m) sets m(i, j) = m(j, i) = m."""
-    chain = _CHAIN_RE.match(kind)
+    chain = _CHAIN_RE.fullmatch(kind)
     if chain:
         letter, n = chain.group(1).upper(), int(chain.group(2))
         if n < {"A": 1, "B": 2, "D": 3}[letter]:
@@ -43,14 +44,14 @@ def _diagram(kind: str) -> tuple[int, Iterable[tuple[int, int, int]]]:
         return n, bonds
     if kind.upper() in _EXCEPTIONAL:
         return _EXCEPTIONAL[kind.upper()]
-    i2 = _I2_RE.match(kind)
+    i2 = _I2_RE.fullmatch(kind)
     if i2:
         token = i2.group(1)
         order = 0 if token in ("inf", "oo") else int(token)
         if order == 1:
             raise InvalidMatrix(f"I2 bond order must be 0 (infinite) or >= 2, got {token}")
         return 2, ((0, 1, order),)
-    aff = _AFFINE_A_RE.match(kind)
+    aff = _AFFINE_A_RE.fullmatch(kind)
     if aff and int(aff.group(1)) >= 1:  # A~1: a two-cycle of one infinite bond
         n = int(aff.group(1)) + 1
         return n, [(i, (i + 1) % n, 3 if n > 2 else 0) for i in range(n)]

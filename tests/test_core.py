@@ -185,3 +185,12 @@ def test_element_repr_and_str(a3):
     assert str(a3.identity) == "e"
     assert str(a3.element("s1 s2")) == "s1 s2"
     assert "s1 s2" in repr(a3.element("s1 s2"))
+    assert repr(a3) == "CoxeterSystem(rank=3, names=['s1', 's2', 's3'])"
+
+
+def test_element_against_a_non_element_raises_type_error(a3):
+    s1 = a3.generator(0)
+    with pytest.raises(TypeError):
+        s1 * 2
+    with pytest.raises(TypeError):
+        s1 < (0,)

@@ -275,7 +275,7 @@ def test_a_shortening_fold_up_step_fails_its_check():
     """s2 s1 corrupted to e in the left slot of s1: the base maximum of (s2 s1, e,
     {s1}) is s1, and the fold-up by s = s2 then shortens it."""
     system = coxeter_system("A2")
-    system.generator(0)._lmul[1] = system.identity
+    system.generator(0)._mul[system.rank + 1] = system.identity
     with pytest.raises(InternalAssertionFailed, match="shortened"):
         max_in_coset(system.element("s2 s1"), system.element("s2"), frozenset({0}))
 

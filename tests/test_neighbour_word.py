@@ -157,7 +157,7 @@ def test_an_unknown_neighbour_falls_back_to_the_full_peel(text, s, word, peels):
     system = coxeter_system("B3")
     w = system.element(text)
     tail = system._elements.get(w.word[1:])
-    assert tail is None or tail._rmul[s] is None
+    assert tail is None or tail._mul[s] is None
     calls = _count_peels(system)
     assert system._step(w, s).word == word
     assert calls == peels
@@ -203,8 +203,8 @@ def _with_known_product(branch):
     x = system.normalize(word)
     w = system.element(text)
     y = system.element(NEIGHBOURS[branch])
-    assert w._rmul[s] is None  # y is w itself or is found in tail(w)'s slot
-    assert y is w or system._elements[w.word[1:]]._rmul[s] is y
+    assert w._mul[s] is None  # y is w itself or is found in tail(w)'s slot
+    assert y is w or system._elements[w.word[1:]]._mul[s] is y
     return system, w, s, x, y
 
 
@@ -243,7 +243,7 @@ def test_an_unknown_neighbour_fails_the_full_peel_check(text, s):
     system = coxeter_system("B3")
     w = system.element(text)
     tail = system._elements.get(w.word[1:])
-    assert tail is None or tail._rmul[s] is None
+    assert tail is None or tail._mul[s] is None
     _corrupted(w, 0)
     with pytest.raises(InternalAssertionFailed, match="did not reach the identity"):
         system._step(w, s)

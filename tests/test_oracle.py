@@ -61,6 +61,16 @@ def test_brute_coset_max_errors(a3):
         brute_coset_max(a3.element("s1"), a3.element("s2"), frozenset((0,)))
 
 
+def test_a_planted_left_split_empties_a_candidate_level():
+    """The first level's split of w = s1 s2 away from D_L(x), x = s1 s2, planted as
+    (v, u) = (s1, e): s = s1 takes x to s2, which is not below v."""
+    a3 = coxeter_system("A3")
+    w = x = a3.element("s1 s2")
+    a3._split_cache[w, a3._all_gens - x.left_descents, True] = (a3.generator(0), a3.identity)
+    with pytest.raises(EmptyIntersection, match="is not below"):
+        oracle.coset_max_candidates(w, x, frozenset())
+
+
 @pytest.mark.parametrize("below, match", [
     # s2 s1 <= s1 s2 s1 forgotten: s2 s1 is maximal too
     ("s2 s1", "2 maximal elements"),

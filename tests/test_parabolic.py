@@ -86,6 +86,8 @@ def test_is_min_rep_sides(a3):
     assert not is_min_rep(w, frozenset((0,)))
     assert not is_min_rep(w, frozenset((1,)), side="left")
     assert is_min_rep(w, frozenset((0,)), side="left")
+    with pytest.raises(ValueError, match="side must be 'right' or 'left'"):
+        is_min_rep(w, frozenset((0,)), side="up")
 
 
 def test_min_reps_leq_matches_filter(a3, b3):

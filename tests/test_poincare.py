@@ -164,11 +164,12 @@ def test_a_corrupted_shift_table_fails_the_relative_product_check():
 
 
 def test_a_corrupted_relative_split_fails_as_an_internal_error():
-    """The K-split of w planted as (v, s3 s2): the factor u ends in s2, a letter of J.
-    That breaks a theorem, not the caller's input, so it is no NotMinimalRep."""
+    """The K-split of w planted as (v, s3 s2) as well as the table: u is read off the
+    table's shift at x = v, not off the split, so the planted factor changes nothing
+    and the table fails the product check as without it."""
     system, w, J, K, v = _planted_relative_table()
     system._split_cache[w, K, False] = (v, system.element("s3 s2"))
-    with pytest.raises(InternalAssertionFailed, match="relative factor left the J-minimal"):
+    with pytest.raises(InternalAssertionFailed, match="relative BP product does not match"):
         relative_decompose_poincare(w, J, K)
 
 

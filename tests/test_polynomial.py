@@ -85,6 +85,8 @@ def test_str_ascending():
     assert str(IntPolynomial.t_power(3)) == "t^3"
     assert str(IntPolynomial.from_coeffs([1, 2, 2, 1])) == "1+2t+2t^2+t^3"
     assert str(IntPolynomial.from_coeffs([0, 1, 0, 5])) == "t+5t^3"
+    assert str(IntPolynomial((1, -1))) == "1-t"
+    assert str(IntPolynomial.from_coeffs([-1, 0, -1, -3])) == "-1-t^2-3t^3"
 
 
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))

@@ -54,6 +54,10 @@ def test_unknown_preset():
     for kind in ("E8", "Z3", "A0", "B1", "D2", ""):
         with pytest.raises(InvalidMatrix):
             coxeter_matrix(kind)
+    # the whole string is matched, over ASCII digits, as for F4 and H3
+    for kind in ("B3\n", "A~2\n", "D\u0664"):
+        with pytest.raises(InvalidMatrix, match="unknown Coxeter type"):
+            coxeter_matrix(kind)
 
 
 #: coxeter_matrix on 131 type strings, accepted and rejected: each maps to

@@ -52,6 +52,15 @@ def test_sampled_subsets_follow_the_seed():
                        ("coset-maxima", 0, "7492 triples"), ("interval-product", 0, "20 pairs")]
 
 
+def test_many_elements_are_sampled():
+    """The rank-8 universal group (every bond infinite) has 1 + 8 + 56 + 392 = 457
+    elements of length <= 3, more than the 400 the intervals check takes."""
+    system = CoxeterSystem([[1 if i == j else 0 for j in range(8)] for i in range(8)])
+    records = oracle.verify(system, max_len=3, samples=5, seed=0)
+    assert records[1] == ("intervals", 0, "400 elements")
+    assert all(bad == 0 for _, bad, _ in records)
+
+
 @pytest.mark.parametrize("counts", [{"max_len": -1, "samples": 5}, {"max_len": 3, "samples": -1}])
 def test_negative_counts_rejected(counts):
     with pytest.raises(ValueError, match="nonnegative"):

@@ -254,7 +254,7 @@ def test_walk_result_sums_along_its_word():
     """A walk result has no neighbour; its left sums were carried along the walk,
     its right sums are read along its word."""
     system, _, w = _walk_result()
-    assert w._rmul == [None] * system.rank
+    assert w._mul == [None] * (2 * system.rank)
     _check_walked(w)
 
 
