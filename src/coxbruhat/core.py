@@ -261,7 +261,7 @@ class CoxeterSystem:
         self._elements: dict[Word, Element] = {}
         self._leq_cache: dict[tuple[Element, Element], bool] = {}
         self._interval_cache: dict[Element, object] = {}
-        # (w, J) -> (x -> coset maximum, checked x -> shift), coset_max._shift_table
+        # (w, J) -> aligned tuples (xs, maxima, checked shifts), coset_max._shift_table
         self._shift_tables: dict[tuple[Element, GenSet], tuple] = {}
         # (w, J, left) -> (v, u), parabolic._split
         self._split_cache: dict[tuple[Element, GenSet, bool], tuple[Element, Element]] = {}
@@ -295,8 +295,8 @@ class CoxeterSystem:
         - ``_leq_cache``: ``(u, w) -> bool`` for each ``leq`` pair past its
           fast exits.
         - ``_interval_cache``: ``w -> Interval`` for each ``lower_interval``.
-        - ``_shift_tables``: ``(w, J) -> (maxima, checked shifts)`` for each
-          coset table and each suffix table built on the way.
+        - ``_shift_tables``: ``(w, J) -> (xs, maxima, checked shifts)`` as aligned
+          tuples, for each coset table and each suffix table built on the way.
         - ``_split_cache``: ``(w, J, left) -> (v, u)`` for each parabolic split.
         - ``_term_cache``: ``(x, m) -> Term`` for ``decompose_poincare``.
 
@@ -352,10 +352,11 @@ class CoxeterSystem:
 
         ``max_length`` defaults to (and is clamped by) the length cap; for a
         finite group any cap beyond the longest element enumerates the whole
-        group.  A negative ``max_length`` raises ValueError.
+        group.  A ``bool``, non-``int`` or negative ``max_length`` raises ValueError.
         """
-        if max_length is not None and max_length < 0:
-            raise ValueError(f"elements needs max_length >= 0, got {max_length}")
+        if max_length is not None and (isinstance(max_length, bool)
+                                       or not isinstance(max_length, int) or max_length < 0):
+            raise ValueError(f"elements needs an int max_length >= 0, got {max_length!r}")
         limit = self.length_cap if max_length is None else min(max_length, self.length_cap)
         out = [self.identity]
         level = [self.identity]

@@ -33,9 +33,9 @@ Prop. 2.2.7), so the maximum for s w in x W_J is the longer of q_w(x) and
 s q_w(x'), where x' is the minimal representative of s x W_J (x itself when
 s x is not in W^J, s x otherwise, by Deodhar's lemma); the second candidate
 drops out when s is a left descent of q_w(x'), and the theorem says one
-candidate dominates the other.  Starting from {e: e}, the letters of w's
-canonical word are applied from right to left; every suffix's table is
-memoised per (w, J), each shift x^-1 q checked once, where its entry is made.
+candidate dominates the other.  Starting from e -> e, the letters of w's
+canonical word are applied from right to left; every suffix's table is memoised
+per (w, J) as aligned tuples (xs, qs, shifts), each shift checked where it is made.
 """
 
 from __future__ import annotations
@@ -182,9 +182,9 @@ def coset_shift(w: Element, x: Element, J: Iterable[int]) -> Element:
     return max_in_coset(w, x, J).shift
 
 
-def _shift_table(w: Element, J: GenSet) -> tuple[dict, dict]:
-    """The memoised (maxima, shifts) of :func:`_maxima` for a checked J: x -> q, the
-    maximum of [e, w] meet x W_J, and x -> x^-1 q in ShortLex order, over [e, w]^J.
+def _shift_table(w: Element, J: GenSet) -> tuple[tuple, tuple, tuple]:
+    """The memoised (xs, qs, shifts) of :func:`_maxima` for a checked J, aligned tuples:
+    [e, w]^J in ShortLex order, each x's maximum q of [e, w] meet x W_J, and x^-1 q.
 
     Raises IntervalTooLarge when length(w) exceeds the system's interval_cap.
     """
@@ -192,9 +192,9 @@ def _shift_table(w: Element, J: GenSet) -> tuple[dict, dict]:
     return w.system._shift_tables.get((w, J)) or _maxima(w, J)
 
 
-def _maxima(w: Element, J: GenSet) -> tuple[dict, dict]:
-    """(maxima, shifts) of (w, J), shifts in ShortLex order, extended letter by letter
-    from the longest memoised suffix table of w's word; each new table is memoised.
+def _maxima(w: Element, J: GenSet) -> tuple[tuple, tuple, tuple]:
+    """(xs, qs, shifts) of (w, J), extended letter by letter from the longest memoised
+    suffix table of w's word through a transient dict x -> q; each new table is memoised.
     _checked_shift checks each entry in the table y that makes it, as max_in_coset
     does: q <= y, q lies in x W_J, and q = x shift length-additively, shift in W_J.
     A longer table carries the entry with that shift.  Each y' = s y on the way adds
@@ -208,33 +208,39 @@ def _maxima(w: Element, J: GenSet) -> tuple[dict, dict]:
         suffixes.append(w)
         w = sys._step(w, w.word[0], True)  # drop the first letter: a factor step
     if entry is None:  # w is e, and [e, e] meets only the coset W_J
-        entry = memo[w, J] = ({w: w}, {w: _checked_shift(w, w, w, J)})
-    table, shifts = entry
+        entry = memo[w, J] = ((w,), (w,), (_checked_shift(w, w, w, J),))
+    xs, qs, shifts = entry
     for y in reversed(suffixes):
         s = y.word[0]
-        new, checked = dict(table), dict(shifts)
-        for x, m in table.items():
-            if s in m.left_descents:
-                continue  # s times [e, w] meet x W_J lies below m <= w: nothing new
+        table, made = dict(zip(xs, qs)), {}  # x -> q, for the coset lookups; x -> new shift
+        for x, q in zip(xs, qs):
+            if s in q.left_descents:
+                continue  # s times [e, w] meet x W_J lies below q <= w: nothing new
             sx = sys._step(x, s, True)
             if not (sx.right_descents & J):
                 x = sx  # s x W_J is another coset, with minimal representative s x
-            sm = sys._step(m, s, True)
-            old = new.get(x)
-            if old is None or old.length < sm.length:
-                new[x], checked[x] = sm, _checked_shift(y, x, sm, J)
-            elif old.length == sm.length and old is not sm:
+            sq = sys._step(q, s, True)
+            old = table.get(x)
+            if old is None or old.length < sq.length:
+                table[x], made[x] = sq, _checked_shift(y, x, sq, J)
+            elif old.length == sq.length and old is not sq:
                 raise InternalAssertionFailed("two coset maxima candidates of equal length")
-        order = sorted(checked, key=attrgetter("length", "word"))  # old keys come first, in order
-        table, shifts = memo[y, J] = new, {x: checked[x] for x in order}
-    return table, shifts
+        if len(table) == len(xs):  # no new coset: xs and its order stay
+            qs, shifts = tuple(table.values()), tuple(map(made.get, xs, shifts))
+        else:  # new cosets: the sort meets the old keys first, already in order
+            made = dict(zip(xs, shifts)) | made
+            xs = tuple(sorted(table, key=attrgetter("length", "word")))
+            qs, shifts = tuple(map(table.get, xs)), tuple(map(made.get, xs))
+        memo[y, J] = xs, qs, shifts
+    return xs, qs, shifts
 
 
 def shifted_max_set(w: Element, J: Iterable[int]) -> ShiftedMaxSet:
     """Shifts for every minimal representative below w, ShortLex ordered."""
     J = w.system.check_genset(J)
-    pairs = dict(_shift_table(w, J)[1])
-    return ShiftedMaxSet(w=w, J=J, pairs=pairs, values=frozenset(pairs.values()))
+    xs, _, shifts = _shift_table(w, J)
+    pairs = dict(zip(xs, shifts))
+    return ShiftedMaxSet(w=w, J=J, pairs=pairs, values=frozenset(shifts))
 
 
 def max_in_relative_coset(

@@ -253,8 +253,8 @@ def verify(
     builds an element longer than the length cap: ``interval-product`` keeps
     only pairs whose lengths sum to at most both caps.
     """
-    if max_len < 0 or samples < 0:
-        raise ValueError(f"max_len and samples must be nonnegative, got {max_len} and {samples}")
+    if any(isinstance(n, bool) or not isinstance(n, int) or n < 0 for n in (max_len, samples)):
+        raise ValueError(f"max_len and samples must be nonnegative ints, got {max_len!r}, {samples!r}")
     rng = random.Random(seed)
     max_len = min(max_len, sys.length_cap)
     records = []

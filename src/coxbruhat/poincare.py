@@ -97,7 +97,8 @@ def decompose_poincare(w: Element, J: Iterable[int]) -> PoincareDecomposition:
     """P_w as the sum of t^length(x) * P_shift(x) over minimal reps x <= w."""
     J = w.system.check_genset(J)
     memo = w.system._term_cache
-    terms = tuple(memo.get(xm) or _term(memo, *xm) for xm in _shift_table(w, J)[1].items())
+    xs, _, shifts = _shift_table(w, J)
+    terms = tuple(memo.get(xm) or _term(memo, *xm) for xm in zip(xs, shifts))
     return PoincareDecomposition(w=w, J=J, terms=terms, total=_total(w, terms))
 
 
@@ -138,11 +139,11 @@ def relative_decompose_poincare(
     (P^K_v, P^J_u) is attached.
     """
     J, K = check_chain(w, J, K)
-    maxima, shifts_K = _shift_table(w, K)
+    xs, qs, _ = _shift_table(w, K)
     terms = []
     shifts: dict[Element, Element] = {}
-    for x in shifts_K:
-        m = _max_in_relative_coset(w, x, maxima[x], J, K).shift
+    for x, q_K in zip(xs, qs):
+        m = _max_in_relative_coset(w, x, q_K, J, K).shift
         shifts[x] = m
         factor = _relative_poincare(m, J)
         terms.append(Term(x=x, shift=IntPolynomial.t_power(x.length), shifted_max=m, factor=factor))

@@ -39,9 +39,10 @@ def test_generator_rejects_indices_out_of_range(b3, i):
         b3.generator(i)
 
 
-@pytest.mark.parametrize("max_length", [-1, -5])
+@pytest.mark.parametrize("max_length", [-1, -5, True, False, 2.5, 2.0, "2"])
 def test_elements_rejects_a_negative_max_length(b3, max_length):
-    # no element has negative length; these once gave [e]
+    # no element has negative length; -1 and -5 once gave [e], True gave the
+    # elements of length <= 1 and 2.5 a bare TypeError from range
     with pytest.raises(ValueError, match="max_length >= 0"):
         b3.elements(max_length)
     assert b3.elements(0) == [b3.identity]

@@ -5,7 +5,8 @@
 the system and emptied by ``clear_caches()``.  These tests compare cold
 answers (right after ``clear_caches()``) and warm ones with a fresh system's,
 check that a corrupted split entry still trips the per-entry checks of the
-sweeps, and that relative decompositions never read a plain term.
+sweeps, that relative decompositions never read a plain term, and that a
+caller's change to a returned result does not reach the shift-table memo.
 """
 
 from __future__ import annotations
@@ -98,9 +99,8 @@ def test_warm_splits_are_the_cold_splits(kind):
 def _corrupted_split(system, w, J, corrupt):
     """Memoise _split(q, J) for q, the table's maximum for the coset of x, with
     no checked shifts in the system, then corrupt that entry."""
-    maxima = _shift_table(w, J)[0]
-    x = max(maxima, key=lambda y: y.length)
-    q = maxima[x]
+    xs, qs, _ = _shift_table(w, J)
+    x, q = max(zip(xs, qs), key=lambda xq: xq[0].length)
     system.clear_caches()
     v, u = _split(q, J)
     assert v is x and u.length
@@ -124,10 +124,10 @@ def test_a_corrupted_split_fails_the_entry_checks(corrupt, match):
 def test_a_corrupted_split_fails_the_relative_checks():
     system = coxeter_system("A3")
     w, J, K = system.element("s1 s2 s3 s2 s1"), frozenset({1}), frozenset({0, 1})
-    maxima = _shift_table(w, K)[0]
+    xs, qs, _ = _shift_table(w, K)
     relative_decompose_poincare(w, J, K)  # memoises _split(q_K, J) for every entry
-    x = max(maxima, key=lambda y: y.length)
-    system._split_cache[maxima[x], J, False] = (system.identity, system.identity)
+    x, q_K = max(zip(xs, qs), key=lambda xq: xq[0].length)
+    system._split_cache[q_K, J, False] = (system.identity, system.identity)
     with pytest.raises(InternalAssertionFailed, match="not in"):
         relative_decompose_poincare(w, J, K)
 
@@ -137,7 +137,7 @@ def test_a_corrupted_relative_split_fails_the_length_check():
     below w, and e lies in W^J meet W_K, but q is longer than x."""
     system = coxeter_system("A3")
     w, J, K = system.element("s1 s2 s3 s2 s1"), frozenset({1}), frozenset({0, 1})
-    x, q = next((x, q) for x, q_K in _shift_table(w, K)[0].items()
+    x, q = next((x, q) for x, q_K in zip(*_shift_table(w, K)[:2])
                 if (q := _split(q_K, J)[0]) is not q_K and q is not x)
     system._split_cache[q, K, False] = (x, system.identity)
     with pytest.raises(InternalAssertionFailed, match="length-additive"):
@@ -149,7 +149,7 @@ def test_a_corrupted_relative_j_split_fails_the_j_minimality_check():
     K-coset, since it is the maximum there, but it has a right descent in J."""
     system = coxeter_system("A3")
     w, J, K = system.element("s1 s2 s3 s2 s1"), frozenset({1}), frozenset({0, 1})
-    x, q_K = next((x, q_K) for x, q_K in _shift_table(w, K)[0].items() if q_K.right_descents & J)
+    x, q_K = next((x, q_K) for x, q_K in zip(*_shift_table(w, K)[:2]) if q_K.right_descents & J)
     system._split_cache[q_K, J, False] = (q_K, system.identity)
     with pytest.raises(InternalAssertionFailed, match="J-minimal"):
         max_in_relative_coset(w, x, J, K)
@@ -171,3 +171,23 @@ def test_relative_terms_never_read_plain_terms(a4):
                     plain = a4._term_cache.get((t.x, t.shifted_max))
                     shared += plain is not None and plain.factor != t.factor
     assert shared  # the plain memo holds keys that relative terms meet with other factors
+
+
+@pytest.mark.parametrize("kind, word, J", [
+    ("A3", "s1 s2 s3 s2 s1", {0, 1}),
+    ("H3", "s1 s2 s1 s3 s2 s1 s3", {1}),
+])
+def test_results_are_isolated_from_the_memo(kind, word, J):
+    """Clearing or writing to a returned ShiftedMaxSet.pairs leaves the memoised
+    table, the next shifted_max_set and the next decompose_poincare as they were."""
+    system, J = coxeter_system(kind), frozenset(J)
+    w = system.element(word)
+    first, dec = shifted_max_set(w, J), decompose_poincare(w, J)
+    pairs, entry = dict(first.pairs), system._shift_tables[w, J]
+    first.pairs.clear()
+    again = shifted_max_set(w, J)
+    again.pairs[system.identity] = w
+    assert system._shift_tables[w, J] is entry and dict(zip(entry[0], entry[2])) == pairs
+    assert shifted_max_set(w, J).pairs == pairs and first.pairs == {}
+    assert decompose_poincare(w, J) == dec
+    assert [(t.x, t.shifted_max) for t in dec.terms] == list(pairs.items())

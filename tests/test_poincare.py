@@ -153,7 +153,7 @@ def _planted_relative_table():
     system = coxeter_system("A3")
     w, J, K = system.element("s1 s2 s1 s3"), frozenset({1}), frozenset({1, 2})
     e, v = system.identity, system.element("s2 s1")
-    system._shift_tables[w, K] = ({e: e, v: v}, {e: e, v: e})
+    system._shift_tables[w, K] = ((e, v), (e, v), (e, e))
     return system, w, J, K, v
 
 

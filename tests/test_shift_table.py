@@ -1,13 +1,14 @@
 """Shift tables built along w's word, against the recursion and the brute oracle.
 
-``coset_max._shift_table(w, J)`` extends the table x -> q of the maxima of
+``coset_max._shift_table(w, J)`` extends the table of the maxima q of
 [e, w] meet x W_J one letter of w's canonical word at a time, with no coset
-recursion, and memoises the table of every suffix it meets.  These tests
-compare every memoised table, entry by entry and in order, with the recursion
-``_max_in_coset`` on whole finite groups and on long affine words, and with
-``oracle.brute_coset_max`` on short affine words.  They check that each entry
-is checked once, in the table that makes it, and that the tie check and the
-entry checks fire on a corrupted suffix table.
+recursion, and memoises the table of every suffix it meets, as three aligned
+tuples (xs, qs, shifts).  These tests compare every memoised table, entry by
+entry and in order, with the recursion ``_max_in_coset`` on whole finite
+groups and on long affine words, and with ``oracle.brute_coset_max`` on short
+affine words.  They check that each entry is checked once, in the table that
+makes it, and that the tie check and the entry checks fire on a corrupted
+suffix table, planted in place of the memoised one.
 """
 
 from __future__ import annotations
@@ -32,14 +33,21 @@ from conftest import all_gensets
 
 
 def _assert_memo_is_the_recursion(system):
-    """Every memoised table, suffix tables included, is complete: its shifts are
-    in ShortLex order and agree with the recursion entry by entry."""
-    for (w, J), (maxima, shifts) in list(system._shift_tables.items()):
-        assert list(shifts) == min_reps_in_order(w, J), (str(w), sorted(J))
-        assert maxima.keys() == shifts.keys()
-        for x, shift in shifts.items():
+    """Every memoised table, suffix tables included, is complete: it is three
+    aligned tuples, its representatives are in ShortLex order, and its maxima and
+    shifts agree with the recursion entry by entry.  A table whose letter made no
+    new coset holds its suffix table's representatives tuple itself."""
+    for (w, J), entry in list(system._shift_tables.items()):
+        assert type(entry) is tuple and [type(t) for t in entry] == [tuple] * 3
+        xs, qs, shifts = entry
+        assert len(xs) == len(qs) == len(shifts)
+        assert list(xs) == min_reps_in_order(w, J), (str(w), sorted(J))
+        if w.length:
+            tail_xs = system._shift_tables[system.normalize(w.word[1:]), J][0]
+            assert (xs is tail_xs) == (len(xs) == len(tail_xs))
+        for x, q, shift in zip(xs, qs, shifts):
             res = _max_in_coset(w, x, J)
-            assert (maxima[x], shift) == (res.maximum, res.shift), (str(w), str(x), sorted(J))
+            assert (q, shift) == (res.maximum, res.shift), (str(w), str(x), sorted(J))
 
 
 @pytest.mark.parametrize("kind", ["A4", "B3", "H3", "D4", "I2:7"])
@@ -57,9 +65,9 @@ def test_table_is_the_brute_maximum_on_short_affine_words(aff2):
     for w in aff2.elements(8):
         interval = brute_interval(w)
         for J in all_gensets(aff2):
-            maxima = _shift_table(w, J)[0]
-            assert maxima.keys() == {coset_rep(y, J) for y in interval}
-            for x, q in maxima.items():
+            xs, qs, _ = _shift_table(w, J)
+            assert set(xs) == {coset_rep(y, J) for y in interval}
+            for x, q in zip(xs, qs):
                 assert brute_coset_max(w, x, J) is q, (str(w), str(x), sorted(J))
 
 
@@ -90,6 +98,13 @@ def test_relative_decomposition_is_the_recursion_on_every_chain(a4):
                     assert t.shifted_max is max_in_relative_coset(w, t.x, J, K).shift
 
 
+def _plant(system, w, J, x, q):
+    """Replace the memoised table of (w, J) by one whose maximum for x is q."""
+    xs, qs, shifts = _shift_table(w, J)
+    i = xs.index(x)
+    system._shift_tables[w, J] = xs, qs[:i] + (q,) + qs[i + 1:], shifts
+
+
 def test_equal_length_candidates_that_differ_raise():
     """The suffix table of s2 s1, corrupted to q(s1) = s2: extending by s1 from
     q(e) = e gives the candidate s1 for the coset of s1, of the same length."""
@@ -98,7 +113,7 @@ def test_equal_length_candidates_that_differ_raise():
     w = system.element("s1 s2 s1")
     suffix = system.normalize(w.word[1:])
     assert str(suffix) == "s2 s1"
-    _shift_table(suffix, J)[0][system.generator(0)] = system.generator(1)
+    _plant(system, suffix, J, system.generator(0), system.generator(1))
     with pytest.raises(InternalAssertionFailed, match="equal length"):
         _shift_table(w, J)
 
@@ -110,7 +125,7 @@ def test_entries_are_checked_before_they_are_returned():
     w, J = system.element("s1 s2 s3 s2 s1"), frozenset({0, 1})
     suffix = system.normalize(w.word[1:])
     assert str(suffix) == "s2 s3 s2 s1"
-    _shift_table(suffix, J)[0][system.identity] = system.element("s2 s3")
+    _plant(system, suffix, J, system.identity, system.element("s2 s3"))
     with pytest.raises(InternalAssertionFailed, match="not in"):
         _shift_table(w, J)
 
@@ -118,11 +133,11 @@ def test_entries_are_checked_before_they_are_returned():
 def _made(system, w, J):
     """The (w, x) of the entries the table of w makes: those that differ from
     the suffix table's, or the identity's entry when w is e."""
-    maxima = system._shift_tables[w, J][0]
+    xs, qs, _ = system._shift_tables[w, J]
     if not w.length:
         return {(w, w)}
-    below = system._shift_tables[system.normalize(w.word[1:]), J][0]
-    return {(w, x) for x, q in maxima.items() if below.get(x) is not q}
+    below = dict(zip(*system._shift_tables[system.normalize(w.word[1:]), J][:2]))
+    return {(w, x) for x, q in zip(xs, qs) if below.get(x) is not q}
 
 
 @pytest.mark.parametrize("kind, word, J", [

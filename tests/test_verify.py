@@ -61,7 +61,12 @@ def test_many_elements_are_sampled():
     assert all(bad == 0 for _, bad, _ in records)
 
 
-@pytest.mark.parametrize("counts", [{"max_len": -1, "samples": 5}, {"max_len": 3, "samples": -1}])
+@pytest.mark.parametrize("counts", [
+    {"max_len": -1, "samples": 5}, {"max_len": 3, "samples": -1},
+    {"max_len": True, "samples": 5},  # once ran as max_len=1
+    {"max_len": 3, "samples": 1.5},  # once a bare TypeError
+    {"max_len": 2.0, "samples": 5}, {"max_len": 3, "samples": False},
+])
 def test_negative_counts_rejected(counts):
     with pytest.raises(ValueError, match="nonnegative"):
         oracle.verify(coxeter_system("A2"), seed=0, **counts)
