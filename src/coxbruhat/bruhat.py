@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 
-from .core import SIGN_TOL, Element
+from .core import Element
 from .errors import IntervalTooLarge
 from .polynomial import IntPolynomial
 
@@ -65,7 +65,7 @@ def leq(u: Element, w: Element) -> bool:
         v, left, nbrs, n = list(u._lsum), u.length, sys._nbrs, w.length
         for i, s in enumerate(w.word, 1):  # i letters of w read, n - i to go
             x = v[s]
-            if x < SIGN_TOL:  # s is a left descent of what is left of u: peel it
+            if x < 0.0:  # s is a left descent of what is left of u: peel it
                 for k, c in nbrs[s]:
                     v[k] += c * x
                 v[s], left = -x, left - 1
@@ -101,7 +101,7 @@ def lower_interval(w: Element) -> Interval:
     for s in w.word:
         rows.append([])
         for k in range(len(rows) - 1):  # rows[k + 1] gains products u*s, which skip s
-            new = [x for u in rows[k] if (u._rsum or sys._right_sums(u))[s] >= SIGN_TOL
+            new = [x for u in rows[k] if (u._rsum or sys._right_sums(u))[s] >= 0.0
                    and (x := u._mul[s] or sys._step(u, s)) not in seen]
             seen.update(new)
             rows[k + 1] += new
@@ -116,7 +116,7 @@ def _lift_covers(y: Element, s: int, down) -> list[Element]:
     of y: ys and each us with u in ``down`` and us > u (lifting property)."""
     sys = y.system
     return [y._mul[s] or sys._step(y, s)] + [u._mul[s] or sys._step(u, s) for u in down
-                                              if (u._rsum or sys._right_sums(u))[s] >= SIGN_TOL]
+                                              if (u._rsum or sys._right_sums(u))[s] >= 0.0]
 
 
 def covers(w: Element) -> frozenset[Element]:

@@ -14,9 +14,10 @@ distinct simple roots contributes ``-2*cos(pi/m(i,j))`` (``-2`` for an
 infinite bond), and ``s`` is a right descent of ``w`` exactly when ``w`` maps
 the simple root of ``s`` to a negative root.  The coordinates of a root share
 one sign, so a root is negative exactly when their sum is, and that sum is at
-least the largest coordinate in size (Björner-Brenti, *Combinatorics of
-Coxeter Groups*, ch. 4); negativity is read off these sums against a fixed
-tolerance (``SIGN_TOL``).  An element holds no matrix: only its word and two
+least 1 in size: going down in depth only lowers the coordinates, ending at a
+simple root, whose sum is 1 (Björner-Brenti, *Combinatorics of Coxeter Groups*,
+4.6).  Descents are read off the signs of these sums, with no tolerance.  An
+element holds no matrix: only its word and two
 rows of root sums, the column sums of the matrices of w^-1 and w, which give its
 left and right descents.  The identity's sums are all ones.  A generator step
 (``w*s`` or ``s*w`` from ``w``) moves the sums on its own side as one row of the
@@ -30,12 +31,12 @@ word on first read (``CoxeterSystem._right_sums``).  Against a rebuild along the
 canonical word, root sums drift at most about 1.5e-13 over all of H3, B4, F4, D5
 and H4 with 300 products and left products each, and 2.5e-12 over reduced words
 of length 40-63 in A~2 to A~4, built by right steps, left steps or a walk, with
-their left products.  For infinite non-affine groups the tolerance does not
-hold: root coordinates grow exponentially, and random reduced walks in the
-all-5 rank-4 matrix, the ``(3, inf, 3)`` triangle group and the rank-3
-universal group raise ``InternalAssertionFailed`` from lengths of about 14, 21
-and 42 (the ROADMAP item "Exact word problem: retire SIGN_TOL" replaces the
-floats with exact arithmetic).  Canonical words are produced
+their left products.  Infinite non-affine groups fail by cancellation, not by
+a tolerance: root coordinates grow exponentially until rounding errors outgrow
+the sums; random reduced walks in the all-5 rank-4 matrix, ``(3, inf, 3)`` and
+the rank-3 universal group raise ``InternalAssertionFailed`` from lengths of
+about 14, 21 and 42 (ROADMAP items 10 and 7, exact arithmetic for bonds 2, 3
+and inf, then the rest, are the planned fix).  Canonical words are produced
 greedily by peeling off the smallest left descent, which needs only the left
 root sums (``_canonical``).  A step dropping an end letter of a canonical word
 peels nothing (factors of ShortLex-least words are ShortLex-least).  A right
@@ -66,14 +67,6 @@ from operator import attrgetter, sub
 from typing import Iterable, Sequence
 
 from .errors import InternalAssertionFailed, InvalidMatrix, LengthCapExceeded
-
-#: Sign tolerance for the coordinate sum of a root.  The sum is at least the
-#: largest coordinate in size, and exact nonzero root coordinates of finite and
-#: affine systems have magnitude well above 1e-3, so this leaves a wide safety
-#: margin over float drift at capped lengths.  Infinite
-#: non-affine systems exceed it well below the default length cap (see the
-#: module docstring).
-SIGN_TOL = 1e-8
 
 #: A word is a sequence of generator indices; not necessarily reduced.
 Word = tuple[int, ...]
@@ -133,14 +126,14 @@ class Element:
     def right_descents(self) -> GenSet:
         if self._right is None:
             rsum = self._rsum or self.system._right_sums(self)
-            d = frozenset(s for s, v in enumerate(rsum) if v < SIGN_TOL)
+            d = frozenset(s for s, v in enumerate(rsum) if v < 0.0)
             self._right = self.system._gensets.setdefault(d, d)
         return self._right
 
     @property
     def left_descents(self) -> GenSet:
         if self._left is None:
-            d = frozenset(s for s, v in enumerate(self._lsum) if v < SIGN_TOL)
+            d = frozenset(s for s, v in enumerate(self._lsum) if v < 0.0)
             self._left = self.system._gensets.setdefault(d, d)
         return self._left
 
@@ -422,7 +415,7 @@ class CoxeterSystem:
         out = []
         for _ in range(length):
             for t, x in enumerate(v):
-                if x < SIGN_TOL:
+                if x < 0.0:
                     break
             else:
                 raise InternalAssertionFailed("no left descent found while canonicalising")
@@ -468,12 +461,12 @@ class CoxeterSystem:
         out = w._mul[i]
         if out is not None:
             return out
-        word, lsum = w.word, None
+        word, moved = w.word, None
         if word and word[0 if left else -1] == s:
             word = word[1:] if left else word[:-1]
         else:
             sums = w._lsum if left else w._rsum or self._right_sums(w)
-            newlen = w.length - 1 if sums[s] < SIGN_TOL else w.length + 1
+            newlen = w.length - 1 if sums[s] < 0.0 else w.length + 1
             if newlen > self.length_cap:
                 raise self._too_long(newlen)
             y = None
@@ -481,33 +474,27 @@ class CoxeterSystem:
                 tail = word and self._elements.get(word[1:])
                 y = tail._mul[s] if tail else None
                 if (y is None and tail and newlen < w.length
-                        and (tail._rsum or self._right_sums(tail))[s] >= SIGN_TOL):
+                        and (tail._rsum or self._right_sums(tail))[s] >= 0.0):
                     y = w  # exchange condition: w*s drops w's first letter, so tail(w)*s = w
-            if y is None:  # the whole word is peeled off the moved or reflected sums
-                if left:
-                    lsum = tuple(self._apply_right(s, list(w._lsum)))
-                else:
-                    lsum = self._reflect(w._lsum, self._root(s, reversed(word)))
-                word = self._canonical(lsum, newlen)
+            if y is None:
+                word = None  # peeled below off the moved or reflected sums
             else:  # lsum(w*s) = lsum(a*y) = lsum(y).S_a
                 moved = self._apply_right(word[0], list(y._lsum))
                 word = self._neighbour_word(w, moved, y)
-                out = self._elements.get(word)
-                if out is None:
-                    lsum = self._reflect(w._lsum, self._root(s, reversed(w.word)))
-                if len(word) != newlen or max(map(abs, map(sub, moved, lsum or out._lsum))) > 1e-6:
-                    raise InternalAssertionFailed(
-                        "one-peel word does not match its neighbour's sums")
+        out = None if word is None else self._elements.get(word)
         if out is None:
-            out = self._elements.get(word)
+            lsum = (tuple(self._apply_right(s, list(w._lsum))) if left
+                    else self._reflect(w._lsum, self._root(s, reversed(w.word))))
+            if word is None:
+                word = self._canonical(lsum, newlen)
+                out = self._elements.get(word)
+        if moved is not None and (len(word) != newlen or max(
+                map(abs, map(sub, moved, lsum if out is None else out._lsum))) > 1e-6):
+            raise InternalAssertionFailed("one-peel word does not match its neighbour's sums")
         if out is None:
             rsum = w._rsum or self._right_sums(w)
-            if left:
-                lsum = lsum or tuple(self._apply_right(s, list(w._lsum)))
-                rsum = self._reflect(rsum, self._root(s, w.word))
-            else:
-                lsum = lsum or self._reflect(w._lsum, self._root(s, reversed(w.word)))
-                rsum = tuple(self._apply_right(s, list(rsum)))
+            rsum = (self._reflect(rsum, self._root(s, w.word)) if left
+                    else tuple(self._apply_right(s, list(rsum))))
             out = self._intern(word, lsum, rsum)
         w._mul[i], out._mul[i] = out, w
         return out
@@ -523,7 +510,7 @@ class CoxeterSystem:
         when t > a.
         """
         for t, v in enumerate(lsum):
-            if v < SIGN_TOL:
+            if v < 0.0:
                 break
         else:
             return ()
@@ -556,7 +543,7 @@ class CoxeterSystem:
         word, lsum, down = w.word + rest, [1.0] * self.rank, 0
         for s in reversed(word):  # lsum(s*g) = lsum(g).S_s, a row again
             x = lsum[s]
-            if x < SIGN_TOL:  # s is a left descent of g: s*g is shorter
+            if x < 0.0:  # s is a left descent of g: s*g is shorter
                 down += 1
             for k, c in nbrs[s]:
                 lsum[k] += c * x
@@ -579,7 +566,7 @@ class CoxeterSystem:
         sums, nbrs = list(sums), self._nbrs
         for s in letters:  # each letter moves the sums like a row of g's matrix
             x = sums[s]
-            if x < SIGN_TOL:  # root sum of s, as in right_descents
+            if x < 0.0:  # root sum of s, as in right_descents
                 length -= 1
             else:
                 length += 1

@@ -46,9 +46,14 @@ from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .bruhat import _check_interval_cap, leq
-from .core import SIGN_TOL, Element, GenSet, _fold_letters
+from .core import Element, GenSet, _fold_letters
 from .errors import EmptyIntersection, InternalAssertionFailed
 from .parabolic import _split, check_chain, check_min_rep
+
+#: Zero test for the root coordinates of the stabiliser rows in ``_max_in_coset``:
+#: an exact one is 0 or at least 1 in size (Björner-Brenti 4.6), and the floats
+#: keep that margin to 1e-9 (tests/test_root_margins.py).
+ZERO_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -156,7 +161,7 @@ def _max_in_coset(w: Element, x: Element, J: GenSet) -> CosetMaxResult:
         for r in off:
             sys._apply_right(s, r)
         stab = J.union(xi.word).difference(
-            [t for r in off for t, c in enumerate(r) if not abs(c) < SIGN_TOL])
+            [t for r in off for t, c in enumerate(r) if not abs(c) < ZERO_TOL])
         prefix_max = _fold(u, stab)
         sq = sys._step(q, s, True)
         if sq.length <= q.length:

@@ -7,7 +7,7 @@ from operator import attrgetter
 from typing import Iterable
 
 from .bruhat import Interval, _lift_covers, lower_interval
-from .core import SIGN_TOL, Element
+from .core import Element
 
 #: Node colours cycle over the coset representatives in ShortLex order.
 COLORS = ("black", "red", "blue", "green")
@@ -34,7 +34,7 @@ def hasse_graph(w: Element, J: Iterable[int] | None = None) -> HasseGraph:
         for y in itv:  # by rank, so y*t is placed before y for t = min(D_R(y) & J)
             rsum = y._rsum or sys._right_sums(y)
             for t in Js:
-                if rsum[t] < SIGN_TOL:
+                if rsum[t] < 0.0:
                     rep[y] = rep[y._mul[t] or sys._step(y, t)]
                     break
             else:

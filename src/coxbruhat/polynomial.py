@@ -8,6 +8,7 @@ is the empty coefficient tuple.  Rendering is ascending, e.g.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, Iterator
 
 
@@ -67,15 +68,14 @@ class IntPolynomial:
         return IntPolynomial((0,) * k + self.coeffs)
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial.from_coeffs(out)
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return IntPolynomial.from_coeffs(map(sum, pairs))
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPolynomial(())

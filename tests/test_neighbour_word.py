@@ -142,8 +142,10 @@ def test_a_corrupted_neighbour_fails_the_one_peel_check(branch):
     system = coxeter_system("B3")
     w = system.element(text)
     _corrupted(w if near == "w" else system.element(near), index)
+    interned = dict(system._elements)
     with pytest.raises(InternalAssertionFailed, match="one-peel word"):
         system._step(w, s)
+    assert system._elements == interned and w._mul[s] is None  # the check runs before _intern
 
 
 # (w, s, word of w*s, peel lengths) with tail(w)*s not interned: (s2 s1)*s3 =

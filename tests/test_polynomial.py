@@ -52,6 +52,16 @@ def test_arithmetic():
     assert (p + IntPolynomial.zero()) == p
     assert (p * IntPolynomial.zero()) == IntPolynomial.zero()
     assert p.shifted(2).coeffs == (0, 0, 1, 2, 1)
+    assert (IntPolynomial.one() + IntPolynomial.t_power(3)).coeffs == (1, 0, 0, 1)
+    assert (p + IntPolynomial.from_coeffs([0, -2, -1])).coeffs == (1,)  # trailing zeros trimmed
+
+
+@pytest.mark.parametrize("op", [lambda p: p + 1, lambda p: 1 + p, lambda p: p * 2, lambda p: 2 * p],
+                         ids=["p+1", "1+p", "p*2", "2*p"])
+def test_arithmetic_with_an_int_raises_type_error(op):
+    # p + 1 and p * 2 once raised AttributeError from reading 1.coeffs
+    with pytest.raises(TypeError):
+        op(IntPolynomial.from_coeffs([1, 2]))
 
 
 def test_zero_shifts_are_the_identity():

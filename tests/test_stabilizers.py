@@ -75,7 +75,7 @@ def test_oracle_catches_a_wrong_memoised_stabilizer(monkeypatch):
     triples = [(w, x, J) for w in system.elements() for J in all_gensets(system)
                for x in min_reps_leq(w, J)]
     refs = [max_in_coset(w, x, J).maximum for w, x, J in triples]
-    monkeypatch.setattr(coset_max, "SIGN_TOL", -1.0)
+    monkeypatch.setattr(coset_max, "ZERO_TOL", -1.0)
     wrong = 0
     for (w, x, J), ref in zip(triples, refs):
         assert set(coset_max_candidates(w, x, J)) == {ref}
