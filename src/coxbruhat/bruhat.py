@@ -13,22 +13,22 @@ limit them, or along the interval's ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 
-from .core import Element
+from .core import Element, Record, _fill
 from .errors import IntervalTooLarge
 from .polynomial import IntPolynomial
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """The lower Bruhat interval [e, top]; ``ranks`` is its only store, and
     ``members`` and the iteration order are read from it."""
 
-    top: Element
-    ranks: tuple[tuple[Element, ...], ...]  # ranks[k] = members of length k, ShortLex sorted
+    __slots__ = ("top", "ranks", "__dict__")
+
+    def __init__(self, top, ranks):
+        _fill(self, (top, ranks))  # ranks[k] = members of length k, ShortLex sorted
 
     @property
     def members(self) -> frozenset[Element]:
@@ -106,7 +106,7 @@ def lower_interval(w: Element) -> Interval:
             seen.update(new)
             rows[k + 1] += new
     ranks = tuple(tuple(sorted(row, key=attrgetter("word"))) for row in rows)  # ShortLex
-    itv = Interval(top=w, ranks=ranks)
+    itv = Interval(w, ranks)
     sys._interval_cache[w] = itv
     return itv
 

@@ -87,6 +87,50 @@ def _check_letters(letters: Iterable, rank: int) -> None:
             raise ValueError(f"generator index {s!r} out of range for rank {rank}")
 
 
+class Record:
+    """Base of the immutable result records: equal by value within one class, hashable
+    when their fields are, and pickled as a call of their constructor.  ``__slots__``
+    names the fields in ``__init__`` order; slots named ``_*`` (and ``"__dict__"``, for
+    cached properties) stay out of ``==``, ``hash`` and ``repr``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._args = tuple(n for n in cls.__slots__ if n != "__dict__")
+        cls._fields = tuple(n for n in cls._args if n[0] != "_")
+        cls._put = tuple(getattr(cls, n).__set__ for n in cls._args)  # past __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(map(self.__getattribute__, self._args))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _fill(record: Record, values: tuple) -> None:
+    """Store a new record's field values, given in the order of its slots."""
+    for put, value in zip(record._put, values):
+        put(record, value)
+
+
 @total_ordering
 class Element:
     """A group element, held as its ShortLex-least reduced word.

@@ -40,13 +40,12 @@ per (w, J) as aligned tuples (xs, qs, shifts), each shift checked where it is ma
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .bruhat import _check_interval_cap, leq
-from .core import Element, GenSet, _fold_letters
+from .core import Element, GenSet, Record, _fill, _fold_letters
 from .errors import EmptyIntersection, InternalAssertionFailed
 from .parabolic import _split, check_chain, check_min_rep
 
@@ -56,38 +55,37 @@ from .parabolic import _split, check_chain, check_min_rep
 ZERO_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Record):
     """One level of the recursion, at the current representative x."""
 
-    x: Element
-    left_descents: GenSet      # D_L(x), driving the split of w
-    u: Element                 # prefix of w = u v, supported away from D_L(x)
-    v: Element                 # suffix, no left descent outside D_L(x) remains
-    coset_stabilizers: GenSet  # generators t with t x W_J = x W_J
-    s: int                     # chosen left descent of v
-    prefix_max: Element        # max of [e, u] inside the stabilizer subgroup
-    suffix_max: Element        # recursive max for (v, s x, J)
-    maximum: Element           # prefix_max folded with s * suffix_max
+    __slots__ = ("x",
+                 "left_descents",      # D_L(x), driving the split of w
+                 "u",                  # prefix of w = u v, supported away from D_L(x)
+                 "v",                  # suffix, no left descent outside D_L(x) remains
+                 "coset_stabilizers",  # generators t with t x W_J = x W_J
+                 "s",                  # chosen left descent of v
+                 "prefix_max",         # max of [e, u] inside the stabilizer subgroup
+                 "suffix_max",         # recursive max for (v, s x, J)
+                 "maximum")            # prefix_max folded with s * suffix_max
+
+    def __init__(self, x, left_descents, u, v, coset_stabilizers, s, prefix_max, suffix_max,
+                 maximum):
+        _fill(self, (x, left_descents, u, v, coset_stabilizers, s, prefix_max, suffix_max, maximum))
 
 
-@dataclass(frozen=True)
-class CosetMaxResult:
+class CosetMaxResult(Record):
     """Maximum q of [e, w] meet x W_J, with shift = x^-1 q in W_J.
 
     For the relative variant, K is the larger generator set the recursion
     ran in and shift lies in W^J meet W_K.
     """
 
-    w: Element
-    x: Element
-    J: GenSet
-    maximum: Element
-    shift: Element
-    K: GenSet | None = None
-    # the TraceStep fields of each level, from x down to x = e; empty for a
-    # relative maximum read off a shift table
-    _levels: tuple[tuple, ...] = field(default=(), repr=False, compare=False)
+    # _levels: the TraceStep fields of each level, from x down to x = e; empty for
+    # a relative maximum read off a shift table.  The dict holds the trace.
+    __slots__ = ("w", "x", "J", "maximum", "shift", "K", "_levels", "__dict__")
+
+    def __init__(self, w, x, J, maximum, shift, K=None, _levels=()):
+        _fill(self, (w, x, J, maximum, shift, K, _levels))
 
     @cached_property
     def trace(self) -> tuple[TraceStep, ...]:
@@ -95,14 +93,13 @@ class CosetMaxResult:
         return tuple(TraceStep(*fields) for fields in self._levels)
 
 
-@dataclass(frozen=True)
-class ShiftedMaxSet:
+class ShiftedMaxSet(Record):
     """All shifts x^-1 q as x runs over the minimal representatives below w."""
 
-    w: Element
-    J: GenSet
-    pairs: Mapping[Element, Element]  # x -> shift, in ShortLex order of x
-    values: frozenset[Element]
+    __slots__ = ("w", "J", "pairs", "values")
+
+    def __init__(self, w, J, pairs, values):
+        _fill(self, (w, J, pairs, values))  # pairs: x -> shift, in ShortLex order of x
 
 
 def max_in_parabolic(w: Element, J: Iterable[int]) -> Element:
@@ -169,7 +166,7 @@ def _max_in_coset(w: Element, x: Element, J: GenSet) -> CosetMaxResult:
         outer = _fold_letters(prefix_max, sq.word) if prefix_max.length else sq  # e * sq = sq
         up.append((xi, dl, u, v, stab, s, prefix_max, q, outer))
         q, shift = outer, _checked_shift(wi, xi, outer, J)
-    return CosetMaxResult(w=w, x=x, J=J, maximum=q, shift=shift, _levels=tuple(reversed(up)))
+    return CosetMaxResult(w, x, J, q, shift, None, tuple(reversed(up)))
 
 
 def _checked_shift(w: Element, x: Element, q: Element, J: GenSet) -> Element:
@@ -245,7 +242,7 @@ def shifted_max_set(w: Element, J: Iterable[int]) -> ShiftedMaxSet:
     J = w.system.check_genset(J)
     xs, _, shifts = _shift_table(w, J)
     pairs = dict(zip(xs, shifts))
-    return ShiftedMaxSet(w=w, J=J, pairs=pairs, values=frozenset(shifts))
+    return ShiftedMaxSet(w, J, pairs, frozenset(shifts))
 
 
 def max_in_relative_coset(
@@ -272,7 +269,7 @@ def _max_in_relative_coset(
     shift = _checked_shift(w, x, q, K)
     if (q.right_descents | shift.right_descents) & J:
         raise InternalAssertionFailed("relative maximum or its shift is not J-minimal")
-    return CosetMaxResult(w=w, x=x, J=J, maximum=q, shift=shift, K=K, _levels=levels)
+    return CosetMaxResult(w, x, J, q, shift, K, levels)
 
 
 def relative_shift(w: Element, x: Element, J: Iterable[int], K: Iterable[int]) -> Element:

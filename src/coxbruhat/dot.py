@@ -2,24 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable
 
-from .bruhat import Interval, _lift_covers, lower_interval
-from .core import Element
+from .bruhat import _lift_covers, lower_interval
+from .core import Element, Record, _fill
 
 #: Node colours cycle over the coset representatives in ShortLex order.
 COLORS = ("black", "red", "blue", "green")
 
 
-@dataclass(frozen=True)
-class HasseGraph:
+class HasseGraph(Record):
     """[e, w] with its cover edges and, when J is given, a colour per W_J coset."""
 
-    interval: Interval
-    colors: dict[Element, str]  # {} when J is None
-    edges: tuple[tuple[Element, Element], ...]  # (lower, upper), by upper then lower in ShortLex
+    __slots__ = ("interval", "colors", "edges")
+
+    def __init__(self, interval, colors, edges):
+        # colors is {} when J is None; edges are (lower, upper), by upper then lower in ShortLex
+        _fill(self, (interval, colors, edges))
 
 
 def hasse_graph(w: Element, J: Iterable[int] | None = None) -> HasseGraph:
@@ -49,7 +49,7 @@ def hasse_graph(w: Element, J: Iterable[int] | None = None) -> HasseGraph:
     # Covers of y share one length, so sorting by word is ShortLex.
     word = attrgetter("word")
     edges = tuple([(c, y) for y, cs in down.items() for c in sorted(cs, key=word)])
-    return HasseGraph(interval=itv, colors=colors, edges=edges)
+    return HasseGraph(itv, colors, edges)
 
 
 def hasse_dot(w: Element, J: Iterable[int] | None = None) -> str:

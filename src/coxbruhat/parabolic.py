@@ -9,22 +9,20 @@ lying in J.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .bruhat import lower_interval
-from .core import Element, GenSet
+from .core import Element, GenSet, Record, _fill
 from .errors import BadSubsetChain, InternalAssertionFailed, NotMinimalRep
 
 
-@dataclass(frozen=True)
-class ParabolicDecomposition:
+class ParabolicDecomposition(Record):
     """w = v u (side="right", u in W_J) or w = u v (side="left")."""
 
-    v: Element
-    u: Element
-    side: str
-    J: GenSet
+    __slots__ = ("v", "u", "side", "J")
+
+    def __init__(self, v, u, side, J):
+        _fill(self, (v, u, side, J))
 
 
 def is_min_rep(w: Element, J: Iterable[int], side: str = "right") -> bool:
@@ -47,7 +45,7 @@ def decompose(w: Element, J: Iterable[int], side: str = "right") -> ParabolicDec
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     v, u = _split(w, J, side == "left")
-    return ParabolicDecomposition(v=v, u=u, side=side, J=J)
+    return ParabolicDecomposition(v, u, side, J)
 
 
 def _split(w: Element, J: GenSet, left: bool = False) -> tuple[Element, Element]:

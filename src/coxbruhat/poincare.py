@@ -15,37 +15,32 @@ to a chain J inside K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .bruhat import poincare
-from .core import Element, GenSet
+from .core import Element, GenSet, Record, _fill
 from .errors import InternalAssertionFailed
 from .coset_max import _fold, _max_in_relative_coset, _shift_table
 from .parabolic import _split, check_chain, check_min_rep, min_reps_in_order
 from .polynomial import IntPolynomial
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
+class Term(Record):
     """One coset's contribution: shift * factor = t^length(x) * P_shifted_max."""
 
-    x: Element
-    shift: IntPolynomial
-    shifted_max: Element
-    factor: IntPolynomial
+    __slots__ = ("x", "shift", "shifted_max", "factor")
+
+    def __init__(self, x, shift, shifted_max, factor):
+        _fill(self, (x, shift, shifted_max, factor))
 
 
-@dataclass(frozen=True)
-class PoincareDecomposition:
+class PoincareDecomposition(Record):
     """P_w (or P^J_w in the relative case) split along parabolic cosets."""
 
-    w: Element
-    J: GenSet
-    terms: tuple[Term, ...]
-    total: IntPolynomial
-    K: GenSet | None = None
-    factorization: tuple[IntPolynomial, IntPolynomial] | None = None
+    __slots__ = ("w", "J", "terms", "total", "K", "factorization")
+
+    def __init__(self, w, J, terms, total, K=None, factorization=None):
+        _fill(self, (w, J, terms, total, K, factorization))
 
     def grouped(self) -> tuple[tuple[IntPolynomial, Element, IntPolynomial], ...]:
         """Terms merged by equal shifted maximum: (shift sum, element, factor)."""
@@ -59,17 +54,14 @@ class PoincareDecomposition:
         return " + ".join(f"({shift})({factor})" for shift, _, factor in self.grouped())
 
 
-@dataclass(frozen=True)
-class BPReport:
+class BPReport(Record):
     """Billey-Postnikov test for (w, J): is the parabolic factor u maximal?"""
 
-    w: Element
-    J: GenSet
-    v: Element
-    u: Element
-    parabolic_max: Element  # maximum of [e, w] meet W_J
-    is_bp: bool
-    factorization: tuple[IntPolynomial, IntPolynomial] | None  # (P^J_v, P_u) when BP
+    __slots__ = ("w", "J", "v", "u", "parabolic_max", "is_bp", "factorization")
+
+    def __init__(self, w, J, v, u, parabolic_max, is_bp, factorization):
+        # parabolic_max is the maximum of [e, w] meet W_J; factorization (P^J_v, P_u) when BP
+        _fill(self, (w, J, v, u, parabolic_max, is_bp, factorization))
 
 
 def _total(w: Element, terms: Iterable[Term]) -> IntPolynomial:
@@ -99,13 +91,12 @@ def decompose_poincare(w: Element, J: Iterable[int]) -> PoincareDecomposition:
     memo = w.system._term_cache
     xs, _, shifts = _shift_table(w, J)
     terms = tuple(memo.get(xm) or _term(memo, *xm) for xm in zip(xs, shifts))
-    return PoincareDecomposition(w=w, J=J, terms=terms, total=_total(w, terms))
+    return PoincareDecomposition(w, J, terms, _total(w, terms))
 
 
 def _term(memo: dict, x: Element, m: Element) -> Term:
     """The term of decompose_poincare for x with shift m, stored in memo under (x, m)."""
-    term = memo[x, m] = Term(x=x, shift=IntPolynomial.t_power(x.length), shifted_max=m,
-                             factor=poincare(m))
+    term = memo[x, m] = Term(x, IntPolynomial.t_power(x.length), m, poincare(m))
     return term
 
 
@@ -122,10 +113,7 @@ def bp_report(w: Element, J: Iterable[int]) -> BPReport:
         if pv * pu != poincare(w):
             raise InternalAssertionFailed("BP product does not match the Poincare polynomial")
         factorization = (pv, pu)
-    return BPReport(
-        w=w, J=J, v=v, u=u, parabolic_max=parabolic_max, is_bp=is_bp,
-        factorization=factorization,
-    )
+    return BPReport(w, J, v, u, parabolic_max, is_bp, factorization)
 
 
 def relative_decompose_poincare(
@@ -146,7 +134,7 @@ def relative_decompose_poincare(
         m = _max_in_relative_coset(w, x, q_K, J, K).shift
         shifts[x] = m
         factor = _relative_poincare(m, J)
-        terms.append(Term(x=x, shift=IntPolynomial.t_power(x.length), shifted_max=m, factor=factor))
+        terms.append(Term(x, IntPolynomial.t_power(x.length), m, factor))
     total = _total(w, terms)
     v = _split(w, K)[0]
     u = shifts[v]  # w's K-factor, checked J-minimal by the relative step for x = v
@@ -157,6 +145,4 @@ def relative_decompose_poincare(
         if pv * pu != total:
             raise InternalAssertionFailed("relative BP product does not match P^J_w")
         factorization = (pv, pu)
-    return PoincareDecomposition(
-        w=w, J=J, K=K, terms=tuple(terms), total=total, factorization=factorization,
-    )
+    return PoincareDecomposition(w, J, tuple(terms), total, K, factorization)

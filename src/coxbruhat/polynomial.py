@@ -7,13 +7,13 @@ is the empty coefficient tuple.  Rendering is ascending, e.g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable, Iterator
 
+from .core import Record
 
-@dataclass(frozen=True, slots=True)
-class IntPolynomial:
+
+class IntPolynomial(Record):
     """An integer polynomial in one variable t.
 
     Invariant: the trailing coefficient is nonzero (the zero polynomial has
@@ -21,7 +21,10 @@ class IntPolynomial:
     which trims trailing zeros.
     """
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        object.__setattr__(self, "coeffs", coeffs)  # one field: no _fill loop
 
     @staticmethod
     def from_coeffs(seq: Iterable[int]) -> "IntPolynomial":

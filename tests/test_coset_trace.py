@@ -36,9 +36,14 @@ def _triples(system):
                 yield w, x, J
 
 
+STEP_FIELDS = ("x", "left_descents", "u", "v", "coset_stabilizers", "s", "prefix_max",
+               "suffix_max", "maximum")
+
+
 def _words(trace):
     """A trace with every element replaced by its word, comparable across systems."""
-    return [tuple(getattr(v, "word", v) for v in vars(step).values()) for step in trace]
+    return [tuple(getattr(v, "word", v) for v in (getattr(step, f) for f in STEP_FIELDS))
+            for step in trace]
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from types import SimpleNamespace
 
 import pytest
 
-from coxbruhat import CoxeterSystem, coxeter_system, oracle
+from coxbruhat import CosetMaxResult, CoxeterSystem, coxeter_system, oracle
 from coxbruhat.cli import main
 
 FLAGS = ("--type", "A3", "verify", "--max-len", "3", "--samples", "10")
@@ -132,7 +131,8 @@ def coset_maximum_of_identity(monkeypatch):
     def broken(w, x, J):
         res = real(w, x, J)
         if w.word == (0, 1, 0) and J == {0, 1}:
-            return dataclasses.replace(res, maximum=w.system.identity)
+            return CosetMaxResult(res.w, res.x, res.J, w.system.identity, res.shift, res.K,
+                                  res._levels)
         return res
 
     monkeypatch.setattr(oracle, "max_in_coset", broken)
