@@ -98,21 +98,19 @@ class Record:
     def __init_subclass__(cls):
         cls._args = tuple(n for n in cls.__slots__ if n != "__dict__")
         cls._fields = tuple(n for n in cls._args if n[0] != "_")
+        cls._key = attrgetter(*cls._fields)  # the one field's value, or a tuple of them
         cls._put = tuple(getattr(cls, n).__set__ for n in cls._args)  # past __setattr__
-
-    def _values(self) -> tuple:
-        return tuple(map(self.__getattribute__, self._fields))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._key(self) == other._key(other)
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._key(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):
