@@ -181,16 +181,17 @@ def _trace_steps(system, trace):
             for step in trace]
 
 
-def _cmd_max_coset(system, args, fmt, w, x, J):
-    res = max_in_coset(w, x, J)
-    steps = _trace_steps(system, res.trace) if args.trace else ()
+def _cmd_max_coset(system, args, fmt, w, x, J, K=None):
+    res = max_in_coset(w, x, J) if K is None else max_in_relative_coset(w, x, J, K)
+    trace = K is None and args.trace  # rel-max and fiber have no --trace
+    steps = _trace_steps(system, res.trace) if trace else ()
     if fmt == "json":
         payload = {"q": str(res.maximum), "m": str(res.shift)}
-        if args.trace:
+        if trace:
             payload["trace"] = [{key: text for key, _, text in step} for step in steps]
         return payload
     lines = [f"q: {res.maximum}", f"m: {res.shift}"]
-    if args.trace:
+    if trace:
         lines.append("trace:")
         lines.extend("".join(f"  {label}={text}" for _, label, text in step) for step in steps)
     return "\n".join(lines)
@@ -214,13 +215,6 @@ def _cmd_max_set(system, args, fmt, w, J):
     lines = [f"{x} -> {m}" for x, m in sms.pairs.items()]
     lines.append("values: " + ", ".join(values))
     return "\n".join(lines)
-
-
-def _cmd_rel_max(system, args, fmt, w, x, J, K):
-    res = max_in_relative_coset(w, x, J, K)
-    if fmt == "json":
-        return {"q": str(res.maximum), "m": str(res.shift)}
-    return f"q: {res.maximum}\nm: {res.shift}"
 
 
 def _pair(factorization):
@@ -338,9 +332,8 @@ _COMMANDS = (
       ("--trace", {"action": "store_true", "help": "include the recursion trace"}))),
     ("mj-table", _cmd_mj_table, "table x -> m of shifts over all x <= w in W^J", _WJ),
     ("max-set", _cmd_max_set, "set of shifts over all x <= w in W^J", _WJ),
-    ("rel-max", _cmd_rel_max,
-     "maximum of [e, w]^J meet x(W^J meet W_K), J inside K", _WXJK),
-    ("fiber", _cmd_rel_max, "fiber index over a chain J inside K (alias of rel-max)", _WXJK),
+    ("rel-max", _cmd_max_coset, "maximum of [e, w]^J meet x(W^J meet W_K), J inside K", _WXJK),
+    ("fiber", _cmd_max_coset, "fiber index over a chain J inside K (alias of rel-max)", _WXJK),
     ("bp", _cmd_bp, "Billey-Postnikov test for (w, J)", _WJ),
     ("poincare-decomp", _cmd_poincare_decomp, "Poincare polynomial split along cosets",
      (*_WJ, ("--K", {"help": "relative mode: decompose P^J_w along K-cosets"}))),

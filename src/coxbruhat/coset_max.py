@@ -33,9 +33,10 @@ Prop. 2.2.7), so the maximum for s w in x W_J is the longer of q_w(x) and
 s q_w(x'), where x' is the minimal representative of s x W_J (x itself when
 s x is not in W^J, s x otherwise, by Deodhar's lemma); the second candidate
 drops out when s is a left descent of q_w(x'), and the theorem says one
-candidate dominates the other.  Starting from e -> e, the letters of w's
-canonical word are applied from right to left; every suffix's table is memoised
+candidate dominates the other.  Starting from e -> e, ``_shift_table`` applies the
+letters of w's canonical word from right to left and memoises every suffix's table
 per (w, J) as aligned tuples (xs, qs, shifts), each shift checked where it is made.
+A relative maximum, for a chain J inside K, is one ``_relative_step`` from q_K.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ class CosetMaxResult(Record):
     ran in and shift lies in W^J meet W_K.
     """
 
-    # _levels: the TraceStep fields of each level, from x down to x = e; empty for
-    # a relative maximum read off a shift table.  The dict holds the trace.
+    # _levels: the TraceStep fields of each level, from x down to x = e (q_K's for a
+    # relative maximum).  The dict holds the trace.
     __slots__ = ("w", "x", "J", "maximum", "shift", "K", "_levels", "__dict__")
 
     def __init__(self, w, x, J, maximum, shift, K=None, _levels=()):
@@ -185,27 +186,23 @@ def coset_shift(w: Element, x: Element, J: Iterable[int]) -> Element:
 
 
 def _shift_table(w: Element, J: GenSet) -> tuple[tuple, tuple, tuple]:
-    """The memoised (xs, qs, shifts) of :func:`_maxima` for a checked J, aligned tuples:
-    [e, w]^J in ShortLex order, each x's maximum q of [e, w] meet x W_J, and x^-1 q.
+    """The memoised (xs, qs, shifts) of (w, J) for a checked J, aligned tuples: [e, w]^J
+    in ShortLex order, each x's maximum q of [e, w] meet x W_J, and x^-1 q.
 
-    Raises IntervalTooLarge when length(w) exceeds the system's interval_cap.
-    """
-    _check_interval_cap(w)
-    return w.system._shift_tables.get((w, J)) or _maxima(w, J)
-
-
-def _maxima(w: Element, J: GenSet) -> tuple[tuple, tuple, tuple]:
-    """(xs, qs, shifts) of (w, J), extended letter by letter from the longest memoised
-    suffix table of w's word through a transient dict x -> q; each new table is memoised.
+    A new table extends the longest memoised suffix table of w's word letter by letter,
+    through a transient dict x -> q, and memoises each table it makes.
     _checked_shift checks each entry in the table y that makes it, as max_in_coset
     does: q <= y, q lies in x W_J, and q = x shift length-additively, shift in W_J.
     A longer table carries the entry with that shift.  Each y' = s y on the way adds
     a left letter s outside D_L(y), so y < y' and q <= y' by transitivity
     (Björner-Brenti Def. 2.1.1, Thm 2.2.2); the other facts do not depend on y.
+    Raises IntervalTooLarge when length(w) exceeds the system's interval_cap.
     """
-    sys = w.system
-    memo = sys._shift_tables
-    suffixes = []
+    _check_interval_cap(w)
+    memo = w.system._shift_tables
+    if (entry := memo.get((w, J))) is not None:
+        return entry
+    sys, suffixes = w.system, []
     while (entry := memo.get((w, J))) is None and w.length:
         suffixes.append(w)
         w = sys._step(w, w.word[0], True)  # drop the first letter: a factor step
@@ -256,20 +253,19 @@ def max_in_relative_coset(
     """
     J, K = check_chain(w, J, K)
     res = _max_in_coset(w, x, _validate(w, x, K))
-    return _max_in_relative_coset(w, x, res.maximum, J, K, res._levels)
+    return CosetMaxResult(w, x, J, *_relative_step(w, x, res.maximum, J, K), K, res._levels)
 
 
-def _max_in_relative_coset(
-    w: Element, x: Element, q_K: Element, J: GenSet, K: GenSet, levels: tuple = ()
-) -> CosetMaxResult:
-    """The relative maximum from q_K, the maximum of [e, w] meet x W_K, for a
-    checked chain J inside K and x in W^K below w; levels are q_K's.  Past
+def _relative_step(w: Element, x: Element, q_K: Element, J: GenSet,
+                   K: GenSet) -> tuple[Element, Element]:
+    """The relative maximum q and its shift x^-1 q from q_K, the maximum of [e, w] meet
+    x W_K, for a checked chain J inside K and x in W^K below w.  Past
     _checked_shift(w, x, q, K), it checks only that q and its shift are J-minimal."""
     q = _split(q_K, J)[0]
     shift = _checked_shift(w, x, q, K)
     if (q.right_descents | shift.right_descents) & J:
         raise InternalAssertionFailed("relative maximum or its shift is not J-minimal")
-    return CosetMaxResult(w, x, J, q, shift, K, levels)
+    return q, shift
 
 
 def relative_shift(w: Element, x: Element, J: Iterable[int], K: Iterable[int]) -> Element:

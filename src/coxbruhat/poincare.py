@@ -20,7 +20,7 @@ from typing import Iterable
 from .bruhat import poincare
 from .core import Element, GenSet, Record, _fill
 from .errors import InternalAssertionFailed
-from .coset_max import _fold, _max_in_relative_coset, _shift_table
+from .coset_max import _fold, _relative_step, _shift_table
 from .parabolic import _split, check_chain, check_min_rep, min_reps_in_order
 from .polynomial import IntPolynomial
 
@@ -128,21 +128,17 @@ def relative_decompose_poincare(
     """
     J, K = check_chain(w, J, K)
     xs, qs, _ = _shift_table(w, K)
-    terms = []
-    shifts: dict[Element, Element] = {}
-    for x, q_K in zip(xs, qs):
-        m = _max_in_relative_coset(w, x, q_K, J, K).shift
-        shifts[x] = m
-        factor = _relative_poincare(m, J)
-        terms.append(Term(x, IntPolynomial.t_power(x.length), m, factor))
+    shifts = [_relative_step(w, x, q_K, J, K)[1] for x, q_K in zip(xs, qs)]
+    terms = tuple(Term(x, IntPolynomial.t_power(x.length), m, _relative_poincare(m, J))
+                  for x, m in zip(xs, shifts))
     total = _total(w, terms)
     v = _split(w, K)[0]
-    u = shifts[v]  # w's K-factor, checked J-minimal by the relative step for x = v
+    u = shifts[xs.index(v)]  # w's K-factor, checked J-minimal by the relative step for x = v
     factorization = None
-    if u == shifts[w.system.identity]:
+    if u == shifts[0]:  # the shift at x = e, first in ShortLex order
         pv = _relative_poincare(v, K)
         pu = _relative_poincare(u, J)
         if pv * pu != total:
             raise InternalAssertionFailed("relative BP product does not match P^J_w")
         factorization = (pv, pu)
-    return PoincareDecomposition(w, J, tuple(terms), total, K, factorization)
+    return PoincareDecomposition(w, J, terms, total, K, factorization)
