@@ -62,7 +62,7 @@ concurrent use can at worst duplicate work, never corrupt it.
 from __future__ import annotations
 
 import math
-from functools import total_ordering
+from functools import partial, total_ordering
 from operator import attrgetter, sub
 from typing import Iterable, Sequence
 
@@ -204,6 +204,9 @@ class Element:
 
     def __repr__(self):
         return f"Element({str(self)!r})"
+
+    def __reduce__(self):  # its word, interned again in the unpickled system
+        return self.system.normalize, (self.word,)
 
 
 class CoxeterSystem:
@@ -409,6 +412,10 @@ class CoxeterSystem:
 
     def __repr__(self):
         return f"CoxeterSystem(rank={self.rank}, names={list(self.names)})"
+
+    def __reduce__(self):  # its definition only: no element or memo is pickled
+        caps = partial(CoxeterSystem, length_cap=self.length_cap, interval_cap=self.interval_cap)
+        return caps, (self.matrix, self.names)
 
     # -- geometric representation ---------------------------------------
 

@@ -1,15 +1,16 @@
 """Brute-force ground truth, kept independent of the fast paths.
 
-These deliberately avoid the algorithms they check: the interval oracle
-closes downward by single-letter deletions over *all* reduced words instead
-of enumerating subwords of one word; the coset-maximum oracle groups the
-interval by coset representative and scans for maxima instead of recursing;
-word equality is decided by bounded braid-move/deletion rewriting instead of
-the geometric representation.  :func:`coset_max_candidates` instead reruns
-the fast recursion under every choice it could make, with coset stabilisers
-taken from their definition (by braid rewriting at the length cap) rather
-than from the recursion's root test.  :func:`verify` runs the fast paths
-against these oracles and counts the disagreements.
+These deliberately avoid the algorithms they check: the interval oracle closes
+downward by single-letter deletions over *all* reduced words instead of enumerating
+subwords of one word; the coset-maximum oracle groups the interval by coset
+representative and scans for maxima, ordered by membership in those intervals, instead
+of recursing; word equality is decided by bounded braid-move/deletion rewriting instead
+of the geometric representation.  They still build elements with ``normalize`` and
+group cosets with ``_split``.  :func:`coset_max_candidates` instead reruns the fast
+recursion, ``leq`` included, under every choice it could make, with coset stabilisers
+taken from their definition (by braid rewriting at the length cap) rather than from
+the recursion's root test.  :func:`verify` runs the fast paths against these oracles
+and counts the disagreements.
 
 The memo tables live in each system's instance dictionary: their keys and
 values hold elements, which hold their system, so a table kept elsewhere
@@ -95,13 +96,12 @@ def brute_coset_max(w: Element, x: Element, J: Iterable[int]) -> Element:
     members = groups.get(x)
     if not members:
         raise EmptyIntersection(f"[e,{w}] meet {x}W_J is empty")
-    maxima = [y for y in members if not any(y is not z and leq(y, z) for z in members)]
+    maxima = [y for y in members if not any(y is not z and y in brute_interval(z) for z in members)]
     if len(maxima) != 1:
         raise NotUnique(f"{len(maxima)} maximal elements in [e,{w}] meet {x}W_J")
-    q = maxima[0]
-    if not all(leq(z, q) for z in members):
+    if not brute_interval(maxima[0]).issuperset(members):
         raise NotUnique("unique maximal element does not dominate the intersection")
-    return q
+    return maxima[0]
 
 
 def coset_max_candidates(w: Element, x: Element, J: Iterable[int]) -> frozenset[Element]:

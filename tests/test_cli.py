@@ -131,6 +131,18 @@ def test_rel_max_and_fiber_alias(capsys):
     assert (code2, out2) == (0, out)
 
 
+@pytest.mark.parametrize("command", ["rel-max", "fiber"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_relative_commands_refuse_trace(capsys, command, fmt):
+    """rel-max and fiber share max-coset's handler but not its --trace flag."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--type", "A3", "--format", fmt, command, "--w", "s1 s2 s3", "--x", "e",
+              "--J", "s1", "--K", "s1,s2", "--trace"])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert "unrecognized arguments: --trace" in err
+
+
 def test_bp(capsys):
     code, out, _ = run(capsys, "--type", "A3", "bp", "--w", "s1 s2 s3 s2 s1", "--J", "s1,s2")
     assert code == 0

@@ -79,13 +79,26 @@ def test_a_planted_left_split_empties_a_candidate_level():
     ("s1", "does not dominate"),
 ])
 def test_a_corrupted_leq_memo_fails_the_uniqueness_checks(below, match):
-    """[e, s1 s2 s1] is the one coset W_J of J = {s1, s2}; one memoised leq pair
-    below its maximum is corrupted to False."""
+    """[e, s1 s2 s1] is the one coset W_J of J = {s1, s2}; one element below its
+    maximum is dropped from the memoised brute-force interval of the maximum, after
+    a first call has grouped the coset."""
+    system = coxeter_system("A3")
+    w = system.element("s1 s2 s1")
+    J = frozenset({0, 1})
+    assert brute_coset_max(w, system.identity, J) is w
+    system._brute_cache[w] = system._brute_cache[w] - {system.element(below)}
+    with pytest.raises(NotUnique, match=match):
+        brute_coset_max(w, system.identity, J)
+
+
+@pytest.mark.parametrize("below", ["s2 s1", "s1"])
+def test_brute_coset_max_does_not_read_leq(below):
+    """The oracle orders a coset by brute-force interval membership, so a corrupted
+    leq memo pair leaves its answer as it was."""
     system = coxeter_system("A3")
     w = system.element("s1 s2 s1")
     system._leq_cache[system.element(below), w] = False
-    with pytest.raises(NotUnique, match=match):
-        brute_coset_max(w, system.identity, frozenset({0, 1}))
+    assert brute_coset_max(w, system.identity, frozenset({0, 1})) is w
 
 
 def test_braid_equal_examples(a3):

@@ -14,6 +14,7 @@ import pytest
 from coxbruhat import (
     BPReport,
     CosetMaxResult,
+    CoxeterSystem,
     IntPolynomial,
     Interval,
     ParabolicDecomposition,
@@ -244,10 +245,10 @@ def test_real_results_repr():
     assert {name: repr(r) for name, r in _results().items()} == REAL_REPRS
 
 
-@pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+@pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_real_results_pickle(protocol):
-    """Elements pickle from protocol 2 on; a record of them keeps its repr, and a
-    CosetMaxResult keeps the levels its trace reads."""
+    """A record of elements keeps its repr, and a CosetMaxResult keeps the levels
+    its trace reads."""
     results = _results()
     back = pickle.loads(pickle.dumps(results, protocol))
     assert {name: repr(r) for name, r in back.items()} == REAL_REPRS
@@ -256,3 +257,32 @@ def test_real_results_pickle(protocol):
     trace = results["CosetMaxResult"].trace
     assert [repr(step) for step in back["CosetMaxResult"].trace] == [repr(step) for step in trace]
     assert back["Interval"].poincare == results["Interval"].poincare
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_elements_pickle_as_their_system_and_word(protocol):
+    """An element pickles as its system's definition and its word, so no interned
+    element or memo goes along: a result pickles to the same bytes whether or not
+    the whole group was enumerated first, and its elements load into one new system
+    with the same matrix, names and caps."""
+    fresh, full = (coxeter_system("D5", length_cap=30, interval_cap=20) for _ in range(2))
+    full.elements()
+    dumps = [pickle.dumps(decompose_poincare(S.element("s1 s2 s3"), [0]), protocol)
+             for S in (fresh, full)]
+    assert dumps[0] == dumps[1]
+    back = pickle.loads(dumps[1])
+    S = back.w.system
+    assert S is not full and S.rank == 5
+    assert {t.x.system for t in back.terms} | {t.shifted_max.system for t in back.terms} == {S}
+    assert (S.matrix, S.names, S.length_cap, S.interval_cap) == (full.matrix, full.names, 30, 20)
+    assert back.w is S.element("s1 s2 s3")
+    assert repr(back) == repr(decompose_poincare(full.element("s1 s2 s3"), [0]))
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_a_system_pickles_with_its_names(protocol):
+    S = CoxeterSystem([[1, 5], [5, 1]], names=["a", "b"], length_cap=7, interval_cap=3)
+    w = pickle.loads(pickle.dumps(S.element("a b a"), protocol))
+    T = w.system
+    assert (T.matrix, T.names, T.length_cap, T.interval_cap) == (S.matrix, ("a", "b"), 7, 3)
+    assert str(w) == "a b a" and w is T.element("a b") * T.generator(0)
