@@ -8,7 +8,8 @@ of elements of subwords of one reduced word of w -- computed as a
 left-to-right closure so equal subwords are merged early.  Both are memoised
 per system.  Covers are lifted one descent at a time (Björner-Brenti, Prop.
 2.2.7): along the prefixes of one reduced word, so the interval cap does not
-limit them, or along the interval's ranks.
+limit them, or along the interval's ranks.  The closure and both lifts take
+one step, ``CoxeterSystem._ascents``: each u*s > u over a row of members u.
 """
 
 from __future__ import annotations
@@ -101,8 +102,7 @@ def lower_interval(w: Element) -> Interval:
     for s in w.word:
         rows.append([])
         for k in range(len(rows) - 1):  # rows[k + 1] gains products u*s, which skip s
-            new = [x for u in rows[k] if (u._rsum or sys._right_sums(u))[s] >= 0.0
-                   and (x := u._mul[s] or sys._step(u, s)) not in seen]
+            new = [x for x in sys._ascents(rows[k], s) if x not in seen]
             seen.update(new)
             rows[k + 1] += new
     ranks = tuple(tuple(sorted(row, key=attrgetter("word"))) for row in rows)  # ShortLex
@@ -111,22 +111,13 @@ def lower_interval(w: Element) -> Interval:
     return itv
 
 
-def _lift_covers(y: Element, s: int, down) -> list[Element]:
-    """The covers of y from ``down``, the covers of ys, for s a right descent
-    of y: ys and each us with u in ``down`` and us > u (lifting property)."""
-    sys = y.system
-    return [y._mul[s] or sys._step(y, s)] + [u._mul[s] or sys._step(u, s) for u in down
-                                              if (u._rsum or sys._right_sums(u))[s] >= 0.0]
-
-
 def covers(w: Element) -> frozenset[Element]:
-    """Elements u <= w of length length(w) - 1, lifted one descent at a time
-    along the prefixes of w's word (Björner-Brenti, Prop. 2.2.7)."""
+    """Elements u <= w of length length(w) - 1, lifted by ``CoxeterSystem._ascents``
+    one descent at a time along the prefixes of w's word (Björner-Brenti, Prop. 2.2.7)."""
     sys = w.system
     y, down = sys.identity, []
-    for s in w.word:
-        y = sys._step(y, s)
-        down = _lift_covers(y, s, down)
+    for s in w.word:  # the covers of y*s: y and the ascents u*s of y's covers u
+        y, down = sys._step(y, s), [y] + sys._ascents(down, s)
     return frozenset(down)
 
 

@@ -55,7 +55,9 @@ keyed by the elements themselves.  Each element stores its products with every
 generator on either side in one list of neighbour slots, ``_mul[s]`` for w*s and
 ``_mul[rank + s]`` for s*w, filled on first use by ``CoxeterSystem._step``, the
 one generator step for both sides; computing a product also fills the product's
-slot of the same index, which leads back to w.  All caches are pure, so
+slot of the same index, which leads back to w.  Lower intervals, covers, Hasse
+diagrams and ``elements`` grow by one lifting step, ``CoxeterSystem._ascents``:
+each u*s > u over a row of elements u.  All caches are pure, so
 concurrent use can at worst duplicate work, never corrupt it.
 """
 
@@ -399,11 +401,7 @@ class CoxeterSystem:
         out = [self.identity]
         level = [self.identity]
         for _ in range(limit):
-            nxt = set()
-            for w in level:
-                for s in range(self.rank):
-                    if s not in w.right_descents:
-                        nxt.add(self._step(w, s))
+            nxt = {x for s in range(self.rank) for x in self._ascents(level, s)}
             if not nxt:
                 break
             level = sorted(nxt, key=attrgetter("word"))  # one length: ShortLex
@@ -547,6 +545,13 @@ class CoxeterSystem:
             out = self._intern(word, lsum, rsum)
         w._mul[i], out._mul[i] = out, w
         return out
+
+    def _ascents(self, row, s: int) -> list[Element]:
+        """u*s for each u of row that s lengthens (u's right root sum at s is not
+        negative), in row order: the lifting step, [e, w*s] = [e, w] union [e, w]*s
+        for a right ascent s of w (Björner-Brenti, Prop. 2.2.7)."""
+        return [u._mul[s] or self._step(u, s) for u in row
+                if (u._rsum or self._right_sums(u))[s] >= 0.0]
 
     def _neighbour_word(self, w: Element, lsum, y: Element) -> Word:
         """The word of x = w*s, s not ending w's nonempty word, from x's left root

@@ -5,7 +5,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Iterable
 
-from .bruhat import _lift_covers, lower_interval
+from .bruhat import lower_interval
 from .core import Element, Record, _fill
 
 #: Node colours cycle over the coset representatives in ShortLex order.
@@ -43,9 +43,9 @@ def hasse_graph(w: Element, J: Iterable[int] | None = None) -> HasseGraph:
         index = {x: i for i, x in enumerate(dict.fromkeys(rep.values()))}
         colors = {y: COLORS[index[x] % len(COLORS)] for y, x in rep.items()}
     down: dict[Element, list[Element]] = {sys.identity: []}
-    for y in list(itv)[1:]:  # by rank, so y's prefix y*s is placed before y
-        s = y.word[-1]
-        down[y] = _lift_covers(y, s, down[y._mul[s] or sys._step(y, s)])
+    for y in list(itv)[1:]:  # by rank, so y's prefix p = y*s is placed before y
+        s = y.word[-1]  # y covers p and each u*s > u, u covered by p: CoxeterSystem._ascents
+        down[y] = [p := y._mul[s] or sys._step(y, s)] + sys._ascents(down[p], s)
     # Covers of y share one length, so sorting by word is ShortLex.
     word = attrgetter("word")
     edges = tuple([(c, y) for y, cs in down.items() for c in sorted(cs, key=word)])
