@@ -139,17 +139,9 @@ def _cmd_covers(system, args, fmt, w):
     return "\n".join(down)
 
 
-def _polynomial(poly, fmt):
-    """A polynomial as text, or for JSON as its coefficients and text."""
+def _cmd_poincare(system, args, fmt, w, J=None):
+    poly = poincare(w) if J is None else relative_poincare(w, J)
     return {"coeffs": list(poly.coeffs), "poly": str(poly)} if fmt == "json" else str(poly)
-
-
-def _cmd_poincare(system, args, fmt, w):
-    return _polynomial(poincare(w), fmt)
-
-
-def _cmd_poincare_rel(system, args, fmt, w, J):
-    return _polynomial(relative_poincare(w, J), fmt)
 
 
 def _cmd_decompose(system, args, fmt, w, J):
@@ -322,8 +314,7 @@ _COMMANDS = (
     ("interval", _cmd_interval, "the lower interval [e, w]", _W),
     ("covers", _cmd_covers, "elements covered by w", _W),
     ("poincare", _cmd_poincare, "Poincare polynomial of [e, w]", _W),
-    ("poincare-rel", _cmd_poincare_rel,
-     "Poincare polynomial of the J-minimal part of [e, w]", _WJ),
+    ("poincare-rel", _cmd_poincare, "Poincare polynomial of the J-minimal part of [e, w]", _WJ),
     ("decompose", _cmd_decompose, "parabolic factorisation of w",
      (*_WJ, ("--side", {"choices": ("right", "left"), "default": "right"}))),
     ("coset-rep", _cmd_coset_rep, "minimal representative of w W_J", _WJ),
