@@ -10,7 +10,8 @@ group cosets with ``_split``.  :func:`coset_max_candidates` instead reruns the f
 recursion, ``leq`` included, under every choice it could make, with coset stabilisers
 taken from their definition (by braid rewriting at the length cap) rather than from
 the recursion's root test.  :func:`verify` runs the fast paths against these oracles
-and counts the disagreements.
+and counts the disagreements; its coset-maxima check takes each ``x`` from
+:func:`brute_interval`, not from the fast interval it checks.
 
 The memo tables live in each system's instance dictionary: their keys and
 values hold elements, which hold their system, so a table kept elsewhere
@@ -28,7 +29,7 @@ from .bruhat import _check_interval_cap, leq, lower_interval
 from .core import CoxeterSystem, Element, GenSet, Word, _check_letters, _fold_letters, demazure
 from .coset_max import _fold, _validate, max_in_coset
 from .errors import EmptyIntersection, NotUnique, SearchBudgetExceeded
-from .parabolic import _require_min_rep, _split, check_min_rep, min_reps_in_order
+from .parabolic import _require_min_rep, _split, check_min_rep
 
 
 def all_reduced_words(w: Element) -> tuple[Word, ...]:
@@ -290,7 +291,8 @@ def verify(
                for J in itertools.combinations(range(sys.rank), size)]
     for w in elems:
         for J in subsets if len(subsets) <= 16 else rng.sample(subsets, 16):
-            for x in min_reps_in_order(w, J):
+            for x in sorted((u for u in brute_interval(w) if not (u.right_descents & J)),
+                            key=attrgetter("length", "word")):  # ShortLex
                 triples += 1
                 res = max_in_coset(w, x, J)
                 if brute_coset_max(w, x, J) is not res.maximum:

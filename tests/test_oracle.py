@@ -16,6 +16,7 @@ from coxbruhat import (
     lower_interval,
     oracle,
 )
+from coxbruhat.bruhat import Interval
 from coxbruhat.oracle import (
     all_reduced_words,
     braid_equal,
@@ -99,6 +100,19 @@ def test_brute_coset_max_does_not_read_leq(below):
     w = system.element("s1 s2 s1")
     system._leq_cache[system.element(below), w] = False
     assert brute_coset_max(w, system.identity, frozenset({0, 1})) is w
+
+
+def test_verify_takes_coset_representatives_from_the_brute_interval():
+    """A fast interval of w = s1 s2 s3 s2 planted without s2 s3 is one interval
+    mismatch, and the coset-maxima check still visits every J-minimal x <= w: A3 to
+    length 6 has 825 triples, 4 of them with w = s1 s2 s3 s2 and x = s2 s3."""
+    system = coxeter_system("A3")
+    w, gone = system.element("s1 s2 s3 s2"), system.element("s2 s3")
+    ranks = tuple(tuple(y for y in row if y is not gone) for row in lower_interval(w).ranks)
+    system._interval_cache[w] = Interval(w, ranks)
+    records = oracle.verify(system, max_len=6, samples=0, seed=0)
+    assert records[1] == ("intervals", 1, "24 elements")
+    assert records[2] == ("coset-maxima", 0, "825 triples")
 
 
 def test_braid_equal_examples(a3):
