@@ -20,8 +20,8 @@ every choice and is used for verification.  The loop walks down the levels
 (w, x) -> (v, s x) to x = e, then folds the maxima back up, checking each
 level's maximum against its coset.  The coset stabilizers are read off the
 roots x^-1(alpha_t), the columns of the matrix of x^-1: the fold-up pass
-carries that matrix's rows outside J from the identity, one generator per
-level, so no t x is built and an x at the length cap is answered.  The same
+carries the sum of that matrix's rows outside J from the identity, one generator
+per level, so no t x is built and an x at the length cap is answered.  The same
 pass records the levels the result's trace reads.  Neither results nor
 stabilizers are memoised.
 
@@ -50,9 +50,9 @@ from .core import Element, GenSet, Record, _fill, _fold_letters
 from .errors import EmptyIntersection, InternalAssertionFailed
 from .parabolic import _split, check_chain, check_min_rep
 
-#: Zero test for the root coordinates of the stabiliser rows in ``_max_in_coset``:
-#: an exact one is 0 or at least 1 in size (Björner-Brenti 4.6), and the floats
-#: keep that margin to 1e-9 (tests/test_root_margins.py).
+#: Zero test for the stabiliser row in ``_max_in_coset``, sums of root coordinates of
+#: one sign: an exact one is 0 or at least 1 in size (Björner-Brenti 4.6), and the
+#: floats keep that margin to 1e-9 (tests/test_root_margins.py).
 ZERO_TOL = 1e-8
 
 
@@ -133,9 +133,10 @@ def _max_in_coset(w: Element, x: Element, J: GenSet) -> CosetMaxResult:
     then folds the maxima back up from the base; _checked_shift checks each level's q'.
     The guard ends the loop and keeps s x in W^J, as D_R(s x) lies in D_R(x); q' <= v
     and q' = (s x) shift length-additively give s x <= v (Björner-Brenti Thm 2.2.2).
-    The fold-up pass carries the rows outside J of the matrix of x_i^-1 = (s x_i)^-1 s,
-    whose column t is the root x_i^-1(alpha_t): t stabilizes x_i W_J when that root has
-    support in J, i.e. is zero in those rows.
+    The fold-up pass carries the sum of the rows outside J of the matrix of
+    x_i^-1 = (s x_i)^-1 s, whose entry t sums the coordinates outside J of the root
+    x_i^-1(alpha_t).  They share one sign, so t stabilizes x_i W_J, the root having
+    support in J, exactly when that entry is zero; for t outside J and supp(x_i) it is >= 1.
     """
     sys = w.system
     down = []
@@ -153,13 +154,9 @@ def _max_in_coset(w: Element, x: Element, J: GenSet) -> CosetMaxResult:
         wi, xi = v, sx
     q = _fold(wi, J)
     shift = _checked_shift(wi, xi, q, J)
-    up, n = [], sys.rank
-    off = [[float(i == j) for j in range(n)] for i in range(n) if i not in J]  # x = e
+    up, row = [], [float(i not in J) for i in range(sys.rank)]  # x = e
     for wi, xi, dl, u, v, s in reversed(down):
-        for r in off:
-            sys._apply_right(s, r)
-        stab = J.union(xi.word).difference(
-            [t for r in off for t, c in enumerate(r) if not abs(c) < ZERO_TOL])
+        stab = frozenset(t for t, c in enumerate(sys._apply_right(s, row)) if abs(c) < ZERO_TOL)
         prefix_max = _fold(u, stab)
         sq = sys._step(q, s, True)
         if sq.length <= q.length:

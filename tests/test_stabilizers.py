@@ -3,11 +3,13 @@
 A generator t stabilises x W_J exactly when x^-1 t x lies in W_J, i.e. its
 support is inside J.  The check multiplies the elements out and is
 independent of how the recursion finds the stabilisers.  The recursion reads
-them off the root x^-1(alpha_t), a column of the matrix of x^-1 that its
-fold-up pass carries.  Deodhar's lemma on the longer element t x is a second
-reference; at the length cap, where t x cannot be built, the oracle decides
-it on words by braid rewriting.  The stabilisers of (x, J) are those of the
-first level of ``max_in_coset(x, x, J)``.
+them off the root x^-1(alpha_t), a column of the matrix of x^-1: its fold-up
+pass carries one row, the sum of that matrix's rows outside J, and t is a
+stabiliser when the root's coordinates outside J, all of one sign, sum to zero.
+Deodhar's lemma on the longer element t x is a second reference; at the length
+cap, where t x cannot be built, the oracle decides it on words by braid
+rewriting.  The stabilisers of (x, J) are those of the first level of
+``max_in_coset(x, x, J)``.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def _stabilizers(x, J):
     return max_in_coset(x, x, J).trace[0].coset_stabilizers
 
 
-@pytest.mark.parametrize("kind", ["A3", "B3", "H3"])
+@pytest.mark.parametrize("kind", ["A3", "B3", "H3", "D4", "F4"])
 def test_memoised_stabilizers_match_definition(kind):
     """Every pair with x in W^J, not just those a query meets, checked at the
     first level of its trace."""
