@@ -27,16 +27,16 @@ neighbour is known reads it only when new (see below).  A walk (``normalize``,
 ``multiply``) follows filled neighbour slots; from the first empty one a single
 backward pass moves the left sums along the whole word and counts the length,
 and only the result is interned.  Its right sums are moved along its canonical
-word on first read (``CoxeterSystem._right_sums``).  Against a rebuild along the
-canonical word, root sums drift at most about 1.5e-13 over all of H3, B4, F4, D5
-and H4 with 300 products and left products each, and 2.5e-12 over reduced words
-of length 40-63 in A~2 to A~4, built by right steps, left steps or a walk, with
-their left products.  Infinite non-affine groups fail by cancellation, not by
-a tolerance: root coordinates grow exponentially until rounding errors outgrow
-the sums; random reduced walks in the all-5 rank-4 matrix, ``(3, inf, 3)`` and
-the rank-3 universal group raise ``InternalAssertionFailed`` from lengths of
-about 14, 21 and 42 (ROADMAP items 10 and 7, exact arithmetic for bonds 2, 3
-and inf, then the rest, are the planned fix).  Canonical words are produced
+word on first read (``CoxeterSystem._right_sums``).  Bonds 3 and inf give the
+exact coefficients 1.0 and 2.0, so in A_n, D_n and A~n every root coordinate and
+root sum is an integer-valued float, exact below 2**53, and nothing drifts.
+Against a rebuild along the canonical word, the sums of H3, B4, F4 and H4 drift
+at most about 1e-12 over the whole group with 300 products and left products.
+Infinite non-affine groups fail by cancellation, not by a tolerance: root
+coordinates grow exponentially; random reduced walks in the all-5 rank-4 matrix,
+``(3, inf, 3)`` and the rank-3 universal group raise ``InternalAssertionFailed``
+from lengths of about 14, 68 and 42, the last two once their integers near 2**53
+(ROADMAP items 10 and 7 are the planned fix).  Canonical words are produced
 greedily by peeling off the smallest left descent, which needs only the left
 root sums (``_canonical``).  A step dropping an end letter of a canonical word
 peels nothing (factors of ShortLex-least words are ShortLex-least).  A right
@@ -285,7 +285,7 @@ class CoxeterSystem:
         self.length_cap = length_cap
         self.interval_cap = interval_cap
 
-        # Per generator s: pairs (k, 2*cos(pi/m(s,k))) over bonded neighbours.
+        # Per generator s: pairs (k, 2*cos(pi/m(s,k))) over bonded neighbours, exact at m = 3.
         nbrs = []
         for i in range(n):
             row = []
@@ -293,7 +293,7 @@ class CoxeterSystem:
                 m = self.matrix[i][j]
                 if i == j or m == 2:
                     continue
-                row.append((j, 2.0 if m == 0 else 2.0 * math.cos(math.pi / m)))
+                row.append((j, 2.0 if m == 0 else 1.0 if m == 3 else 2.0 * math.cos(math.pi / m)))
             nbrs.append(tuple(row))
         self._nbrs = tuple(nbrs)
 

@@ -6,7 +6,9 @@ coordinate, a zero one to at least its bonded neighbours' (Björner-Brenti
 4.6).  Descent tests therefore compare root sums with 0.0, and ``coset_max``
 needs a tolerance only to tell a zero coordinate from a nonzero one.  These
 tests pin that the floats keep both margins, to 1e-9, on whole finite groups
-and on long affine walks.
+and on long affine walks.  Bonds 2, 3 and inf give coefficients 0, 1 and 2
+exactly, so in A_n, D_n and A~n every root sum and coordinate is an exact
+integer, with no drift at all.
 """
 
 from __future__ import annotations
@@ -64,3 +66,26 @@ def test_a_thin_margin_is_reported():
         assert [(what, v) for _, what, v in _violations(system, [x])] == [("rsum", 0.5)]
     finally:
         x._rsum = rsum
+
+
+def _inexact(system, elements):
+    """(element, what, value) for each root sum or coordinate that is not an integer."""
+    out = []
+    for x in elements:
+        for what, sums in (("lsum", x._lsum), ("rsum", x._rsum or system._right_sums(x))):
+            out += [(x, what, v) for v in sums if v != round(v)]
+        for t in range(system.rank):
+            out += [(x, f"root {t}", c) for c in system._root(t, x.word) if c != round(c)]
+    return out
+
+
+@pytest.mark.parametrize("kind, seed", [("A~2", 0), ("A~3", 1), ("A~4", 2), ("A5", None),
+                                        ("D5", None)])
+def test_bonds_2_3_and_inf_give_exact_integers(kind, seed):
+    """A~n on a reduced walk of length 300, A5 and D5 whole."""
+    system = coxeter_system(kind, length_cap=300)
+    if seed is None:
+        elements = system.elements()
+    else:
+        elements = _reduced_walk(system, 300, random.Random(seed))
+    assert _inexact(system, elements) == []
